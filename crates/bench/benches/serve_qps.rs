@@ -12,14 +12,13 @@
 //! * `serve_miss` — every query distinct (cache-defeating): the marginal
 //!   cost of a *new* what-if under a warm per-worker workspace.
 //! * `serve_cold` — the pre-serve baseline: one library `what_if` call
-//!   with a fresh `ScheduleWorkspace::new()` per query, the shape the
-//!   one-shot API forced before this layer existed. The ≥10x acceptance
-//!   arm.
+//!   with a fresh `ScheduleWorkspace::new()` per query, the shape a
+//!   one-shot caller pays. The ≥10x acceptance arm.
 //! * `serve_delta` — apply-delta publication rate (copy-on-write snapshot
 //!   clone + version bump + cache invalidation).
 
 use aheft_core::aheft::{AheftConfig, ScheduleWorkspace};
-use aheft_core::whatif::{try_what_if_with, WhatIfQuery};
+use aheft_core::whatif::{what_if, WhatIfQuery};
 use aheft_serve::engine::QueryEngine;
 use aheft_serve::scenario::ScenarioParams;
 use aheft_workflow::ResourceId;
@@ -143,7 +142,7 @@ fn bench_serve_miss(c: &mut Criterion) {
 
 fn bench_serve_cold(c: &mut Criterion) {
     // The pre-serve shape: a fresh workspace per query, no caching of any
-    // kind — what `whatif::what_if` cost before this PR's scratch path.
+    // kind — what a one-shot `whatif::what_if` caller pays.
     let scen = params().build();
     let config = AheftConfig::default();
     let mut k = 0usize;
@@ -155,7 +154,7 @@ fn bench_serve_cold(c: &mut Criterion) {
             let mut ws = ScheduleWorkspace::new();
             let query = WhatIfQuery::RemoveResource(ResourceId::from(k % RESOURCES));
             black_box(
-                try_what_if_with(
+                what_if(
                     &scen.dag,
                     &scen.costs,
                     &scen.snapshot,

@@ -47,8 +47,8 @@ pub mod service;
 pub mod whatif;
 
 pub use aheft::{
-    aheft_reschedule, aheft_reschedule_with, aheft_schedule_into, AheftConfig, KernelMode,
-    ReschedulableSet, RescheduleOutcome, ScheduleWorkspace,
+    aheft_reschedule, aheft_reschedule_with, aheft_schedule_into, AheftConfig, ReschedulableSet,
+    RescheduleOutcome, ScheduleWorkspace,
 };
 pub use heft::{heft_schedule, heft_schedule_with, HeftConfig};
 pub use minmin::DynamicHeuristic;

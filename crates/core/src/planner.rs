@@ -111,14 +111,8 @@ impl AdaptivePlanner {
         }
     }
 
-    /// Set the worker count for intra-pass parallelism (see
-    /// [`ScheduleWorkspace::set_threads`]); byte-identical for every `N`.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.workspace.set_threads(threads);
-    }
-
-    /// Direct access to the planner's reusable workspace (bench/test knobs:
-    /// kernel mode, parallelism thresholds).
+    /// Direct access to the planner's reusable workspace, e.g. to read the
+    /// assignments of its most recent pass.
     pub fn workspace_mut(&mut self) -> &mut ScheduleWorkspace {
         &mut self.workspace
     }

@@ -277,21 +277,17 @@ impl PlannedPolicy {
     /// executed as-is (new resources are ignored; failures still force a
     /// replacement).
     pub fn static_heft(cfg: &RunConfig) -> Self {
-        let mut p = Self::new(cfg.aheft, ReschedulePolicy::Never, cfg.variance_threshold);
-        p.planner.set_threads(cfg.threads);
-        p
+        Self::new(cfg.aheft, ReschedulePolicy::Never, cfg.variance_threshold)
     }
 
     /// The paper's adaptive rescheduling strategy: re-evaluate per
     /// `cfg.policy` and replace the plan whenever the prediction improves.
     pub fn adaptive(cfg: &RunConfig) -> Self {
-        let mut p = Self::new(cfg.aheft, cfg.policy, cfg.variance_threshold);
-        p.planner.set_threads(cfg.threads);
-        p
+        Self::new(cfg.aheft, cfg.policy, cfg.variance_threshold)
     }
 
-    /// Bench/test access to the underlying planner (kernel-mode and
-    /// parallelism-threshold knobs on its workspace).
+    /// Access to the underlying planner, e.g. to read its evaluation and
+    /// acceptance counts after a run.
     pub fn planner_mut(&mut self) -> &mut AdaptivePlanner {
         &mut self.planner
     }

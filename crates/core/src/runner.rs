@@ -82,11 +82,6 @@ pub struct RunConfig {
     pub recovery: RecoveryPolicy,
     /// Record a full execution trace (Gantt-able); off for big sweeps.
     pub record_trace: bool,
-    /// Worker threads for the planner's intra-pass parallelism (level-
-    /// batched rank sweep, R-wide EFT scan). `1` runs the exact sequential
-    /// code path; any `N` is byte-identical to `1` (deterministic ordered
-    /// reductions), so this is purely a wall-clock knob.
-    pub threads: usize,
 }
 
 impl Default for RunConfig {
@@ -100,7 +95,6 @@ impl Default for RunConfig {
             job_faults: JobFaultModel::None,
             recovery: RecoveryPolicy::Resubmit,
             record_trace: false,
-            threads: 1,
         }
     }
 }

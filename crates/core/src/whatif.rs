@@ -102,116 +102,18 @@ impl WhatIfReport {
     }
 }
 
-/// Evaluate `query` against the current execution state.
+/// Evaluate `query` against the current execution state, reusing `ws`
+/// for both scheduling passes and across repeated queries.
 ///
 /// `alive` is the current pool. The baseline reschedules the remaining jobs
-/// on `alive`; the hypothetical run modifies the pool as requested. Neither
-/// has side effects.
+/// on `alive` under `config`; the hypothetical run modifies the pool as
+/// requested. Neither has side effects on the execution. To ask under a
+/// named planned policy, derive `config` with
+/// [`crate::policy::planning_config`], which answers `None` for JIT
+/// policies and unknown names.
 ///
-/// # Panics
-/// Panics if removal empties the pool or a column's length mismatches the
-/// DAG.
-pub fn what_if(
-    dag: &Dag,
-    costs: &CostTable,
-    snapshot: &Snapshot,
-    alive: &[ResourceId],
-    config: &AheftConfig,
-    query: &WhatIfQuery,
-) -> WhatIfReport {
-    let mut ws = ScheduleWorkspace::new();
-    what_if_with(dag, costs, snapshot, alive, config, query, &mut ws)
-}
-
-/// Fallible [`what_if`]: malformed queries come back as a [`WhatIfError`]
-/// instead of panicking.
-pub fn try_what_if(
-    dag: &Dag,
-    costs: &CostTable,
-    snapshot: &Snapshot,
-    alive: &[ResourceId],
-    config: &AheftConfig,
-    query: &WhatIfQuery,
-) -> Result<WhatIfReport, WhatIfError> {
-    let mut ws = ScheduleWorkspace::new();
-    try_what_if_with(dag, costs, snapshot, alive, config, query, &mut ws)
-}
-
-/// Answer `query` under a *named* planned policy (see
-/// [`crate::policy::POLICY_NAMES`]): the hypothetical pools are evaluated
-/// with exactly the scheduling configuration that policy plans with under
-/// `cfg` (slot policy, reschedulable set) — the same derivation
-/// [`crate::policy::make_policy`] uses. Returns `None` for JIT policies —
-/// they keep no plan to hypothesise about — and unknown names.
-pub fn what_if_policy(
-    dag: &Dag,
-    costs: &CostTable,
-    snapshot: &Snapshot,
-    alive: &[ResourceId],
-    policy_name: &str,
-    cfg: &crate::runner::RunConfig,
-    query: &WhatIfQuery,
-) -> Option<WhatIfReport> {
-    let config = crate::policy::planning_config(policy_name, cfg)?;
-    Some(what_if(dag, costs, snapshot, alive, &config, query))
-}
-
-/// Fallible [`what_if_policy`]: `None` for JIT / unknown policy names,
-/// `Some(Err(_))` for malformed queries.
-pub fn try_what_if_policy(
-    dag: &Dag,
-    costs: &CostTable,
-    snapshot: &Snapshot,
-    alive: &[ResourceId],
-    policy_name: &str,
-    cfg: &crate::runner::RunConfig,
-    query: &WhatIfQuery,
-) -> Option<Result<WhatIfReport, WhatIfError>> {
-    let mut ws = ScheduleWorkspace::new();
-    try_what_if_policy_with(dag, costs, snapshot, alive, policy_name, cfg, query, &mut ws)
-}
-
-/// As [`try_what_if_policy`], reusing a caller-provided workspace — the
-/// serve layer's per-worker entry point.
-#[allow(clippy::too_many_arguments)]
-pub fn try_what_if_policy_with(
-    dag: &Dag,
-    costs: &CostTable,
-    snapshot: &Snapshot,
-    alive: &[ResourceId],
-    policy_name: &str,
-    cfg: &crate::runner::RunConfig,
-    query: &WhatIfQuery,
-    ws: &mut ScheduleWorkspace,
-) -> Option<Result<WhatIfReport, WhatIfError>> {
-    let config = crate::policy::planning_config(policy_name, cfg)?;
-    Some(try_what_if_with(dag, costs, snapshot, alive, &config, query, ws))
-}
-
-/// As [`what_if`], reusing a caller-provided [`ScheduleWorkspace`] across
-/// both scheduling passes (and across repeated queries).
-///
-/// # Panics
-/// Panics on a malformed query (see [`WhatIfError`]); delegate to
-/// [`try_what_if_with`] to handle those as values.
-pub fn what_if_with(
-    dag: &Dag,
-    costs: &CostTable,
-    snapshot: &Snapshot,
-    alive: &[ResourceId],
-    config: &AheftConfig,
-    query: &WhatIfQuery,
-    ws: &mut ScheduleWorkspace,
-) -> WhatIfReport {
-    match try_what_if_with(dag, costs, snapshot, alive, config, query, ws) {
-        Ok(report) => report,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible core of every what-if entry point. Validation happens *before*
-/// evaluation, so an `Err` leaves the workspace and scratch state exactly
-/// as found.
+/// Validation happens *before* evaluation, so an `Err` leaves the
+/// workspace and scratch state exactly as found.
 ///
 /// Warm-path allocation contract (pinned by `tests/zero_alloc.rs`): after
 /// the first query against a given base table, repeated queries allocate
@@ -220,7 +122,7 @@ pub fn what_if_with(
 /// [`CostTable::truncate_resources`], which restores the base `state_id`
 /// (keeping the rank cache's append-lineage fast path live) and retains
 /// buffer capacity.
-pub fn try_what_if_with(
+pub fn what_if(
     dag: &Dag,
     costs: &CostTable,
     snapshot: &Snapshot,
@@ -311,6 +213,19 @@ mod tests {
         (0..n).map(ResourceId::from).collect()
     }
 
+    /// One query on a fresh workspace against the initial snapshot of an
+    /// `n`-resource pool.
+    fn cold(
+        dag: &Dag,
+        costs: &CostTable,
+        n: usize,
+        config: &AheftConfig,
+        query: &WhatIfQuery,
+    ) -> Result<WhatIfReport, WhatIfError> {
+        let mut ws = ScheduleWorkspace::new();
+        what_if(dag, costs, &Snapshot::initial(n), &alive(n), config, query, &mut ws)
+    }
+
     #[test]
     fn adding_r4_at_t0_reports_honest_regression() {
         // The what-if answer for the Fig. 4 instance is *negative*: HEFT
@@ -320,14 +235,14 @@ mod tests {
         // management insight §3.3 wants the planner to provide.
         let dag = sample::fig4_dag();
         let costs = sample::fig4_costs_initial();
-        let report = what_if(
+        let report = cold(
             &dag,
             &costs,
-            &Snapshot::initial(3),
-            &alive(3),
+            3,
             &AheftConfig::default(),
             &WhatIfQuery::AddResources { columns: vec![sample::fig4_r4_column()] },
-        );
+        )
+        .unwrap();
         assert!((report.baseline_makespan - 80.0).abs() < 1e-9);
         assert!((report.hypothetical_makespan - 87.0).abs() < 1e-9);
         assert!(report.gain() < 0.0);
@@ -342,14 +257,14 @@ mod tests {
         let dag = b.build().unwrap();
         let costs =
             aheft_workflow::CostTable::from_dag_comm(&dag, &vec![vec![10.0]; 8], 1.0).unwrap();
-        let report = what_if(
+        let report = cold(
             &dag,
             &costs,
-            &Snapshot::initial(1),
-            &alive(1),
+            1,
             &AheftConfig::default(),
             &WhatIfQuery::AddResources { columns: vec![vec![10.0; 8]] },
-        );
+        )
+        .unwrap();
         assert!((report.baseline_makespan - 80.0).abs() < 1e-9);
         assert!((report.hypothetical_makespan - 40.0).abs() < 1e-9);
         assert!((report.improvement_rate() - 0.5).abs() < 1e-9);
@@ -360,14 +275,14 @@ mod tests {
         let dag = sample::fig4_dag();
         let costs = sample::fig4_costs_initial();
         for r in 0..3u32 {
-            let report = what_if(
+            let report = cold(
                 &dag,
                 &costs,
-                &Snapshot::initial(3),
-                &alive(3),
+                3,
                 &AheftConfig::default(),
                 &WhatIfQuery::RemoveResource(ResourceId(r)),
-            );
+            )
+            .unwrap();
             assert!(
                 report.hypothetical_makespan >= report.baseline_makespan - 1e-9,
                 "removing r{} should not help",
@@ -386,14 +301,14 @@ mod tests {
         let dag = sample::fig4_dag();
         let costs = sample::fig4_costs_initial();
         let slow = vec![10_000.0; 10];
-        let report = what_if(
+        let report = cold(
             &dag,
             &costs,
-            &Snapshot::initial(3),
-            &alive(3),
+            3,
             &AheftConfig::default(),
             &WhatIfQuery::AddResources { columns: vec![slow] },
-        );
+        )
+        .unwrap();
         // Rank order may shift, but the schedule cannot be forced onto the
         // slow resource; allow small regressions only.
         assert!(report.hypothetical_makespan <= report.baseline_makespan * 1.25);
@@ -401,27 +316,25 @@ mod tests {
 
     #[test]
     fn named_policy_queries_use_their_planning_config() {
+        use crate::policy::planning_config;
         use crate::runner::RunConfig;
         let dag = sample::fig4_dag();
         let costs = sample::fig4_costs_initial();
         let cfg = RunConfig::default();
         let query = WhatIfQuery::AddResources { columns: vec![sample::fig4_r4_column()] };
+        let ask = |name: &str, cfg: &RunConfig| {
+            let config = planning_config(name, cfg).expect("planned policy");
+            cold(&dag, &costs, 3, &config, &query).unwrap()
+        };
         // Planned policies answer; the ablation variant evaluates under
         // its own (end-of-queue) slot policy and may differ from AHEFT's.
-        let aheft =
-            what_if_policy(&dag, &costs, &Snapshot::initial(3), &alive(3), "aheft", &cfg, &query)
-                .expect("planned policy");
+        let aheft = ask("aheft", &cfg);
         assert!((aheft.baseline_makespan - 80.0).abs() < 1e-9);
-        let noinsert = what_if_policy(
-            &dag,
-            &costs,
-            &Snapshot::initial(3),
-            &alive(3),
-            "aheft-noinsert",
-            &cfg,
-            &query,
-        )
-        .expect("planned policy");
+        assert_eq!(
+            planning_config("aheft-noinsert", &cfg).map(|c| c.slot_policy),
+            Some(crate::SlotPolicy::EndOfQueue)
+        );
+        let noinsert = ask("aheft-noinsert", &cfg);
         assert!(noinsert.baseline_makespan >= 80.0 - 1e-9);
         // The caller's scheduling config flows through: "aheft" with an
         // end-of-queue cfg must answer exactly like "aheft-noinsert" with
@@ -433,38 +346,19 @@ mod tests {
             },
             ..Default::default()
         };
-        let aheft_eoq = what_if_policy(
-            &dag,
-            &costs,
-            &Snapshot::initial(3),
-            &alive(3),
-            "aheft",
-            &eoq_cfg,
-            &query,
-        )
-        .expect("planned policy");
+        let aheft_eoq = ask("aheft", &eoq_cfg);
         assert_eq!(
             aheft_eoq.hypothetical_makespan.to_bits(),
             noinsert.hypothetical_makespan.to_bits()
         );
-        // JIT policies keep no plan: no hypothetical to evaluate.
-        for jit in ["minmin", "ranked-jit"] {
+        // JIT policies keep no plan: no hypothetical to evaluate. Neither
+        // do unknown names.
+        for name in ["minmin", "ranked-jit", "bogus"] {
             assert!(
-                what_if_policy(&dag, &costs, &Snapshot::initial(3), &alive(3), jit, &cfg, &query)
-                    .is_none(),
-                "{jit} must not answer what-if queries"
+                planning_config(name, &cfg).is_none(),
+                "{name} must not answer what-if queries"
             );
         }
-        assert!(what_if_policy(
-            &dag,
-            &costs,
-            &Snapshot::initial(3),
-            &alive(3),
-            "bogus",
-            &cfg,
-            &query
-        )
-        .is_none());
     }
 
     #[test]
@@ -479,7 +373,7 @@ mod tests {
             add: vec![sample::fig4_r4_column()],
             remove: vec![ResourceId(0)],
         };
-        let report = what_if(&dag, &costs, &snap, &alive(3), &cfg, &query);
+        let report = cold(&dag, &costs, 3, &cfg, &query).unwrap();
         assert!((report.baseline_makespan - 80.0).abs() < 1e-9);
         let mut costs2 = sample::fig4_costs_initial();
         let id = costs2.add_resource(&sample::fig4_r4_column()).unwrap();
@@ -504,14 +398,7 @@ mod tests {
         let dag = sample::fig4_dag();
         let costs = sample::fig4_costs_initial();
         let query = WhatIfQuery::Modify { add: vec![], remove: vec![] };
-        let report = what_if(
-            &dag,
-            &costs,
-            &Snapshot::initial(3),
-            &alive(3),
-            &AheftConfig::default(),
-            &query,
-        );
+        let report = cold(&dag, &costs, 3, &AheftConfig::default(), &query).unwrap();
         assert_eq!(report.baseline_makespan.to_bits(), report.hypothetical_makespan.to_bits());
     }
 
@@ -522,70 +409,29 @@ mod tests {
         let snap = Snapshot::initial(3);
         let cfg = AheftConfig::default();
         let mut ws = ScheduleWorkspace::new();
+        let mut ask =
+            |query: WhatIfQuery| what_if(&dag, &costs, &snap, &alive(3), &cfg, &query, &mut ws);
         // Unknown removal target.
-        let err = try_what_if_with(
-            &dag,
-            &costs,
-            &snap,
-            &alive(3),
-            &cfg,
-            &WhatIfQuery::RemoveResource(ResourceId(9)),
-            &mut ws,
-        )
-        .unwrap_err();
+        let err = ask(WhatIfQuery::RemoveResource(ResourceId(9))).unwrap_err();
         assert_eq!(err, WhatIfError::UnknownResource(ResourceId(9)));
         // Column length mismatch.
-        let err = try_what_if_with(
-            &dag,
-            &costs,
-            &snap,
-            &alive(3),
-            &cfg,
-            &WhatIfQuery::AddResources { columns: vec![vec![1.0; 3]] },
-            &mut ws,
-        )
-        .unwrap_err();
+        let err = ask(WhatIfQuery::AddResources { columns: vec![vec![1.0; 3]] }).unwrap_err();
         assert!(matches!(err, WhatIfError::BadColumn(_)));
         // Non-finite cost.
-        let err = try_what_if_with(
-            &dag,
-            &costs,
-            &snap,
-            &alive(3),
-            &cfg,
-            &WhatIfQuery::AddResources { columns: vec![vec![f64::NAN; 10]] },
-            &mut ws,
-        )
-        .unwrap_err();
+        let err = ask(WhatIfQuery::AddResources { columns: vec![vec![f64::NAN; 10]] }).unwrap_err();
         assert!(matches!(err, WhatIfError::BadColumn(_)));
         // Removing the whole pool, even via the combined form.
-        let err = try_what_if_with(
-            &dag,
-            &costs,
-            &snap,
-            &alive(3),
-            &cfg,
-            &WhatIfQuery::Modify {
-                add: vec![],
-                remove: vec![ResourceId(0), ResourceId(1), ResourceId(2)],
-            },
-            &mut ws,
-        )
+        let err = ask(WhatIfQuery::Modify {
+            add: vec![],
+            remove: vec![ResourceId(0), ResourceId(1), ResourceId(2)],
+        })
         .unwrap_err();
         assert_eq!(err, WhatIfError::EmptyPool);
         assert_eq!(err.to_string(), "cannot remove the last resource");
         // A failed query must leave the workspace usable and the answers
         // unchanged.
-        let ok = try_what_if_with(
-            &dag,
-            &costs,
-            &snap,
-            &alive(3),
-            &cfg,
-            &WhatIfQuery::AddResources { columns: vec![sample::fig4_r4_column()] },
-            &mut ws,
-        )
-        .unwrap();
+        let ok =
+            ask(WhatIfQuery::AddResources { columns: vec![sample::fig4_r4_column()] }).unwrap();
         assert!((ok.baseline_makespan - 80.0).abs() < 1e-9);
         assert!((ok.hypothetical_makespan - 87.0).abs() < 1e-9);
     }
@@ -595,11 +441,10 @@ mod tests {
         // Every current resource leaves, one new one joins: pool non-empty.
         let dag = sample::fig4_dag();
         let costs = sample::fig4_costs_initial();
-        let report = try_what_if(
+        let report = cold(
             &dag,
             &costs,
-            &Snapshot::initial(3),
-            &alive(3),
+            3,
             &AheftConfig::default(),
             &WhatIfQuery::Modify {
                 add: vec![sample::fig4_r4_column()],
@@ -630,9 +475,8 @@ mod tests {
         let mut warm = ScheduleWorkspace::new();
         for _ in 0..3 {
             for q in &queries {
-                let w =
-                    try_what_if_with(&dag, &costs, &snap, &alive(3), &cfg, q, &mut warm).unwrap();
-                let cold = try_what_if(&dag, &costs, &snap, &alive(3), &cfg, q).unwrap();
+                let w = what_if(&dag, &costs, &snap, &alive(3), &cfg, q, &mut warm).unwrap();
+                let cold = cold(&dag, &costs, 3, &cfg, q).unwrap();
                 assert_eq!(w.baseline_makespan.to_bits(), cold.baseline_makespan.to_bits());
                 assert_eq!(w.hypothetical_makespan.to_bits(), cold.hypothetical_makespan.to_bits());
             }
@@ -640,17 +484,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cannot remove the last resource")]
-    fn removing_last_resource_panics() {
+    fn removing_last_resource_is_an_error() {
         let dag = sample::fig4_dag();
         let costs = sample::fig4_costs_initial().truncated(1);
-        let _ = what_if(
+        let err = cold(
             &dag,
             &costs,
-            &Snapshot::initial(1),
-            &alive(1),
+            1,
             &AheftConfig::default(),
             &WhatIfQuery::RemoveResource(ResourceId(0)),
-        );
+        )
+        .unwrap_err();
+        assert_eq!(err, WhatIfError::EmptyPool);
     }
 }

@@ -20,7 +20,7 @@ use std::sync::Mutex;
 use aheft_core::aheft::{aheft_schedule_into, ScheduleWorkspace};
 use aheft_core::policy::planning_config;
 use aheft_core::runner::RunConfig;
-use aheft_core::whatif::{try_what_if_with, WhatIfQuery};
+use aheft_core::whatif::{what_if, WhatIfQuery};
 use aheft_gridsim::plan::Assignment;
 use aheft_parcomp::pool_scope;
 
@@ -212,7 +212,7 @@ impl QueryEngine {
                     return no_plan_tail(policy);
                 };
                 let query = WhatIfQuery::Modify { add: add.clone(), remove: remove.clone() };
-                match try_what_if_with(
+                match what_if(
                     &scen.dag,
                     &scen.costs,
                     &scen.snapshot,
@@ -414,6 +414,58 @@ mod tests {
         out.clear();
         e.process_line(r#"{"id":6,"op":"info"}"#, &mut out);
         assert!(out.contains("\"ok\":true"));
+    }
+
+    #[test]
+    fn malformed_inputs_are_rejected_and_leave_answers_unchanged() {
+        let dirty = engine(1);
+        let scen = dirty.store().load();
+        let finished = |j: aheft_workflow::JobId| scen.snapshot.is_finished(j);
+        let topo = scen.dag.topo_order();
+        let done = topo[0].idx();
+        let blocked = topo
+            .iter()
+            .find(|&&j| scen.dag.preds(j).iter().any(|&(p, _)| !finished(p)))
+            .expect("a job with an unfinished predecessor")
+            .idx();
+        let ready = topo
+            .iter()
+            .find(|&&j| !finished(j) && scen.dag.preds(j).iter().all(|&(p, _)| finished(p)))
+            .expect("a job whose inputs are done")
+            .idx();
+        let finish = |id: u64, job: usize, time: &str| {
+            format!(
+                r#"{{"id":{id},"op":"delta","event":"finished","job":{job},"resource":0,"time":{time}}}"#
+            )
+        };
+        let malformed = [
+            r#"{"id":1,"op":"delta","event":"left","resource":4294967297}"#.to_string(),
+            r#"{"id":2,"op":"place","job":4294967296}"#.to_string(),
+            r#"{"id":3,"op":"whatif","remove":[4294967298]}"#.to_string(),
+            r#"{"id":4,"op":"delta","event":"clock","clock":1e999}"#.to_string(),
+            finish(5, blocked, "600"),
+            finish(6, done, "600"),
+            finish(7, ready, "1e999"),
+        ];
+        let mut out = String::new();
+        for line in &malformed {
+            out.clear();
+            dirty.process_line(line, &mut out);
+            assert!(out.contains("\"ok\":false"), "{line} -> {out}");
+        }
+        let valid = [
+            r#"{"id":8,"op":"info"}"#,
+            r#"{"id":9,"op":"replan"}"#,
+            r#"{"id":10,"op":"place","job":45}"#,
+            r#"{"id":11,"op":"whatif","remove":[1]}"#,
+        ];
+        let clean = engine(1);
+        for line in valid {
+            let (mut got, mut want) = (String::new(), String::new());
+            dirty.process_line(line, &mut got);
+            clean.process_line(line, &mut want);
+            assert_eq!(got, want, "{line}");
+        }
     }
 
     #[test]

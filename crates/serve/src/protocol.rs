@@ -94,9 +94,8 @@ impl Request {
                 Op::WhatIf { policy: policy()?, add, remove }
             }
             "place" => {
-                let job = as_u64(v.field("job"))
-                    .ok_or_else(|| fail("`place` needs an integer `job`".to_string()))?;
-                Op::Place { policy: policy()?, job: JobId::from(job as usize) }
+                let job = parse_id(v.field("job"), "job").map_err(fail)?;
+                Op::Place { policy: policy()?, job: JobId(job) }
             }
             "replan" => Op::Replan { policy: policy()? },
             "delta" => Op::Delta(parse_delta(&v).map_err(fail)?),
@@ -112,17 +111,11 @@ fn parse_delta(v: &Value) -> Result<Delta, String> {
         v.field("event").as_str().ok_or_else(|| "missing or non-string `event`".to_string())?;
     match event {
         "finished" => {
-            let job = as_u64(v.field("job"))
-                .ok_or_else(|| "`finished` needs an integer `job`".to_string())?;
-            let resource = as_u64(v.field("resource"))
-                .ok_or_else(|| "`finished` needs an integer `resource`".to_string())?;
+            let job = parse_id(v.field("job"), "job")?;
+            let resource = parse_id(v.field("resource"), "resource")?;
             let time = as_f64(v.field("time"))
                 .ok_or_else(|| "`finished` needs a numeric `time`".to_string())?;
-            Ok(Delta::JobFinished {
-                job: JobId::from(job as usize),
-                resource: ResourceId::from(resource as usize),
-                time,
-            })
+            Ok(Delta::JobFinished { job: JobId(job), resource: ResourceId(resource), time })
         }
         "joined" => {
             let column = f64_list(v.field("column"))
@@ -130,9 +123,8 @@ fn parse_delta(v: &Value) -> Result<Delta, String> {
             Ok(Delta::ResourceJoined { column })
         }
         "left" => {
-            let resource = as_u64(v.field("resource"))
-                .ok_or_else(|| "`left` needs an integer `resource`".to_string())?;
-            Ok(Delta::ResourceLeft { resource: ResourceId::from(resource as usize) })
+            let resource = parse_id(v.field("resource"), "resource")?;
+            Ok(Delta::ResourceLeft { resource: ResourceId(resource) })
         }
         "clock" => {
             let clock = as_f64(v.field("clock"))
@@ -141,6 +133,14 @@ fn parse_delta(v: &Value) -> Result<Delta, String> {
         }
         other => Err(format!("unknown delta event {other:?}")),
     }
+}
+
+/// Read the job or resource id in field `field`. Ids are dense `u32`
+/// indices, so a value of 2^32 or more is an error here instead of a
+/// silent wrap onto a low id.
+fn parse_id(v: &Value, field: &str) -> Result<u32, String> {
+    let n = as_u64(v).ok_or_else(|| format!("`{field}` must be a non-negative integer id"))?;
+    u32::try_from(n).map_err(|_| format!("`{field}` id {n} is out of range (ids are below 2^32)"))
 }
 
 fn as_u64(v: &Value) -> Option<u64> {
@@ -176,14 +176,7 @@ fn columns(v: &Value) -> Result<Vec<Vec<f64>>, String> {
 
 fn id_list(v: &Value) -> Result<Vec<ResourceId>, String> {
     let items = v.as_seq().ok_or_else(|| "`remove` must be an array of ids".to_string())?;
-    items
-        .iter()
-        .map(|x| {
-            as_u64(x)
-                .map(|n| ResourceId::from(n as usize))
-                .ok_or_else(|| "`remove` ids must be integers".to_string())
-        })
-        .collect()
+    items.iter().map(|x| parse_id(x, "remove").map(ResourceId)).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -357,6 +350,35 @@ mod tests {
         let (id, msg) = Request::parse(r#"{"id":4,"op":"delta","event":"nope"}"#).unwrap_err();
         assert_eq!(id, 4);
         assert!(msg.contains("nope"));
+    }
+
+    #[test]
+    fn ids_of_2_pow_32_and_above_are_rejected_not_wrapped() {
+        for line in [
+            r#"{"id":3,"op":"place","job":4294967296}"#,
+            r#"{"id":3,"op":"place","job":4.5e9}"#,
+            r#"{"id":3,"op":"whatif","remove":[1,4294967296]}"#,
+            r#"{"id":3,"op":"delta","event":"left","resource":4294967297}"#,
+            r#"{"id":3,"op":"delta","event":"finished","job":4294967296,"resource":0,"time":1}"#,
+            r#"{"id":3,"op":"delta","event":"finished","job":0,"resource":4294967296,"time":1}"#,
+        ] {
+            let (id, msg) = Request::parse(line).unwrap_err();
+            assert_eq!(id, 3, "{line}");
+            assert!(msg.contains("out of range"), "{line}: {msg}");
+        }
+        for line in [r#"{"id":3,"op":"place","job":-1}"#, r#"{"id":3,"op":"place","job":"7"}"#] {
+            let (_, msg) = Request::parse(line).unwrap_err();
+            assert!(msg.contains("non-negative integer"), "{line}: {msg}");
+        }
+        // The largest id still parses, to itself.
+        let r = Request::parse(r#"{"id":3,"op":"place","job":4294967295}"#).unwrap();
+        assert!(matches!(r.op, Op::Place { job, .. } if job == JobId(u32::MAX)));
+        let r = Request::parse(r#"{"id":3,"op":"delta","event":"left","resource":4294967295}"#)
+            .unwrap();
+        assert!(matches!(
+            r.op,
+            Op::Delta(Delta::ResourceLeft { resource }) if resource == ResourceId(u32::MAX)
+        ));
     }
 
     #[test]

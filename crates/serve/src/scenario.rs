@@ -88,13 +88,15 @@ impl ScenarioParams {
 pub enum Delta {
     /// `job` finished on `resource` at `time`; its output transfers are
     /// committed to every successor edge at `time` and the resource is
-    /// free from `time`.
+    /// free from `time`. The job must not have finished already, and all
+    /// of its predecessors must have.
     JobFinished {
         /// The finished job.
         job: JobId,
         /// Where it ran.
         resource: ResourceId,
-        /// Actual finish time (also advances the clock monotonically).
+        /// Actual finish time (also advances the clock monotonically);
+        /// must be finite.
         time: f64,
     },
     /// A new resource joins with the given estimated cost column, free
@@ -110,7 +112,7 @@ pub enum Delta {
         resource: ResourceId,
     },
     /// Advance the rescheduling clock (monotonic; a smaller value is a
-    /// no-op on the clock).
+    /// no-op on the clock). The value must be finite.
     AdvanceClock {
         /// New clock value.
         clock: f64,
@@ -128,6 +130,18 @@ pub enum DeltaError {
     BadColumn(WorkflowError),
     /// The removal would empty the pool.
     EmptyPool,
+    /// A `time` or `clock` value is NaN or infinite.
+    NonFiniteTime(f64),
+    /// The job already finished.
+    AlreadyFinished(JobId),
+    /// The job has a predecessor that has not finished. Accepting it would
+    /// break the predecessor-closed finished set the planner relies on.
+    UnfinishedPredecessor {
+        /// The job the delta tried to finish.
+        job: JobId,
+        /// Its first unfinished predecessor.
+        pred: JobId,
+    },
 }
 
 impl fmt::Display for DeltaError {
@@ -137,6 +151,11 @@ impl fmt::Display for DeltaError {
             DeltaError::UnknownResource(r) => write!(f, "{r} is not in the alive pool"),
             DeltaError::BadColumn(e) => write!(f, "bad cost column: {e}"),
             DeltaError::EmptyPool => write!(f, "delta would empty the pool"),
+            DeltaError::NonFiniteTime(t) => write!(f, "time {t} is not finite"),
+            DeltaError::AlreadyFinished(j) => write!(f, "{j} already finished"),
+            DeltaError::UnfinishedPredecessor { job, pred } => {
+                write!(f, "{job} cannot finish before its predecessor {pred}")
+            }
         }
     }
 }
@@ -157,6 +176,17 @@ impl Scenario {
                 }
                 if !self.alive.contains(resource) {
                     return Err(DeltaError::UnknownResource(*resource));
+                }
+                if !time.is_finite() {
+                    return Err(DeltaError::NonFiniteTime(*time));
+                }
+                if self.snapshot.is_finished(*job) {
+                    return Err(DeltaError::AlreadyFinished(*job));
+                }
+                let unfinished =
+                    self.dag.preds(*job).iter().find(|&&(p, _)| !self.snapshot.is_finished(p));
+                if let Some(&(pred, _)) = unfinished {
+                    return Err(DeltaError::UnfinishedPredecessor { job: *job, pred });
                 }
                 let mut snap = (*self.snapshot).clone();
                 snap.set_finished(*job, *resource, *time);
@@ -191,6 +221,9 @@ impl Scenario {
                 next.alive = Arc::new(alive);
             }
             Delta::AdvanceClock { clock } => {
+                if !clock.is_finite() {
+                    return Err(DeltaError::NonFiniteTime(*clock));
+                }
                 let mut snap = (*self.snapshot).clone();
                 snap.clock = snap.clock.max(*clock);
                 next.snapshot = Arc::new(snap);
@@ -316,5 +349,55 @@ mod tests {
         assert_eq!(next.snapshot.clock, 600.0);
         assert_eq!(next.snapshot.resource_avail[1], 600.0);
         assert_eq!(next.version, 1);
+    }
+
+    /// The first unfinished job (in topological order) whose predecessors
+    /// have all finished, and the first with an unfinished predecessor.
+    fn ready_and_blocked(scen: &Scenario) -> (JobId, JobId) {
+        let finished = |j: JobId| scen.snapshot.is_finished(j);
+        let inputs_done = |j: JobId| scen.dag.preds(j).iter().all(|&(p, _)| finished(p));
+        let topo = scen.dag.topo_order();
+        let ready = topo.iter().copied().find(|&j| !finished(j) && inputs_done(j));
+        let blocked = topo.iter().copied().find(|&j| !inputs_done(j));
+        (ready.expect("a ready job"), blocked.expect("a blocked job"))
+    }
+
+    #[test]
+    fn non_finite_times_are_rejected() {
+        let store = ScenarioStore::new(tiny());
+        let (ready, _) = ready_and_blocked(&store.load());
+        for t in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let err = store.apply(&Delta::AdvanceClock { clock: t }).unwrap_err();
+            assert!(matches!(err, DeltaError::NonFiniteTime(_)), "{err}");
+            let finish = Delta::JobFinished { job: ready, resource: ResourceId(0), time: t };
+            let err = store.apply(&finish).unwrap_err();
+            assert!(matches!(err, DeltaError::NonFiniteTime(_)), "{err}");
+        }
+        let now = store.load();
+        assert_eq!(now.version, 0);
+        assert_eq!(now.snapshot.clock, 500.0);
+        assert!(!now.snapshot.is_finished(ready));
+    }
+
+    #[test]
+    fn finishing_out_of_order_or_twice_is_rejected() {
+        let store = ScenarioStore::new(tiny());
+        let scen = store.load();
+        let (ready, blocked) = ready_and_blocked(&scen);
+        let finish = |job| Delta::JobFinished { job, resource: ResourceId(1), time: 600.0 };
+        let err = store.apply(&finish(blocked)).unwrap_err();
+        assert!(
+            matches!(err, DeltaError::UnfinishedPredecessor { job, pred }
+                if job == blocked && !scen.snapshot.is_finished(pred)),
+            "{err}"
+        );
+        // The first job of the fabricated finished prefix.
+        let done = scen.dag.topo_order()[0];
+        assert_eq!(store.apply(&finish(done)), Err(DeltaError::AlreadyFinished(done)));
+        assert_eq!(store.load().version, 0);
+        // A job whose inputs are all done finishes once, not twice.
+        assert_eq!(store.apply(&finish(ready)), Ok(1));
+        assert_eq!(store.apply(&finish(ready)), Err(DeltaError::AlreadyFinished(ready)));
+        assert_eq!(store.load().version, 1);
     }
 }

@@ -48,48 +48,14 @@
 //! unrelated problems (the sweep harness reuses one workspace for
 //! thousands of cases) and never confuses two of them.
 
-use std::sync::{Mutex, RwLock};
-
-use aheft_parcomp::pool_scope;
-
 use crate::costs::CostTable;
 use crate::graph::Dag;
 use crate::ids::{JobId, ResourceId};
 
-/// Smallest level size the parallel sweep fans out; below it the dispatch
-/// barrier costs more than the level's work, so the driver runs the level
-/// inline. Tests shrink it via [`RankEngine::set_level_par_min`] to force
-/// the parallel machinery onto tiny DAGs.
-const DEFAULT_LEVEL_PAR_MIN: usize = 256;
-
-/// Per-worker output buffers of the parallel sweep, kept on the engine so
-/// they are reused across passes. Cloning an engine clones cached rank
-/// state, not transient scratch — the clone gets fresh empty buffers
-/// (`Mutex` is not `Clone`, and the contents only live within one sweep).
-#[derive(Debug, Default)]
-struct SweepScratch(Vec<Mutex<Vec<(u32, f64, f64)>>>);
-
-impl Clone for SweepScratch {
-    fn clone(&self) -> Self {
-        Self(self.0.iter().map(|_| Mutex::new(Vec::new())).collect())
-    }
-}
-
-/// The sweep cells workers read while the driver scatters between level
-/// dispatches: moved out of the engine for the duration of a parallel
-/// sweep and guarded by one `RwLock` (workers take read locks per level,
-/// the driver takes the write lock only between dispatches).
-#[derive(Default)]
-struct SweepCells {
-    avg: Vec<f64>,
-    ranks: Vec<f64>,
-    dirty: Vec<bool>,
-}
-
 /// Incrementally maintained `rank_u` values for one `(dag, costs, alive)`
 /// configuration at a time. See the module docs for the delta paths and
 /// the exactness contract.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RankEngine {
     /// `(Dag::uid, CostTable::state_id)` the cached sums belong to.
     key: Option<(u64, u64)>,
@@ -109,58 +75,12 @@ pub struct RankEngine {
     /// Bumped whenever any cached rank value changes; callers use it to
     /// skip work derived from the ranks (e.g. the priority sort).
     epoch: u64,
-    /// [`Dag::uid`] the cached level structure below belongs to.
-    level_key: Option<u64>,
-    /// Per-job sweep level: 0 for exit jobs, else 1 + max successor level.
-    /// Everything a job reads during the sweep lives in strictly lower
-    /// levels, so jobs within one level are data-independent.
-    level_of: Vec<u32>,
-    /// Jobs grouped by ascending level (prefix offsets in `level_starts`),
-    /// reverse-topological within each level.
-    level_jobs: Vec<JobId>,
-    /// `level_starts[l]..level_starts[l + 1]` indexes level `l` in
-    /// `level_jobs`.
-    level_starts: Vec<u32>,
-    /// Counting-sort cursor scratch for rebuilding the level grouping.
-    level_cursor: Vec<u32>,
-    /// Per-worker `(job, avg, rank)` outputs of the parallel sweep.
-    scratch: SweepScratch,
-    /// Smallest level the parallel sweep dispatches to the pool.
-    level_par_min: usize,
-}
-
-impl Default for RankEngine {
-    fn default() -> Self {
-        Self {
-            key: None,
-            alive: Vec::new(),
-            comp_sum: Vec::new(),
-            avg: Vec::new(),
-            ranks: Vec::new(),
-            dirty: Vec::new(),
-            epoch: 0,
-            level_key: None,
-            level_of: Vec::new(),
-            level_jobs: Vec::new(),
-            level_starts: Vec::new(),
-            level_cursor: Vec::new(),
-            scratch: SweepScratch::default(),
-            level_par_min: DEFAULT_LEVEL_PAR_MIN,
-        }
-    }
 }
 
 impl RankEngine {
     /// Fresh engine with no cached state.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Override the smallest level size the parallel sweep fans out
-    /// (default 256). Identity gates shrink it to force the parallel path
-    /// onto small DAGs; results are bit-identical for every setting.
-    pub fn set_level_par_min(&mut self, min: usize) {
-        self.level_par_min = min.max(1);
     }
 
     /// Cached `rank_u` per job (valid for the configuration of the last
@@ -194,35 +114,12 @@ impl RankEngine {
     /// # Panics
     /// Panics if an id in `alive` lies outside the cost table.
     // analyzer: hot
-    pub fn update<F: Fn(JobId) -> bool + Sync>(
+    pub fn update<F: Fn(JobId) -> bool>(
         &mut self,
         dag: &Dag,
         costs: &CostTable,
         alive: &[ResourceId],
         finished: F,
-    ) -> u64 {
-        self.update_par(dag, costs, alive, finished, 1)
-    }
-
-    /// As [`RankEngine::update`], with the sweep fanned over `threads`
-    /// workers per DAG level. Jobs within one level are data-independent
-    /// (everything a job reads lives in strictly lower levels), workers
-    /// only *read* the shared cells, and the driver scatters their outputs
-    /// between level dispatches — so the result is **bit-identical** to
-    /// `threads = 1`, which takes today's sequential sweep unchanged.
-    ///
-    /// `finished` must be predecessor-closed (see the module docs).
-    ///
-    /// # Panics
-    /// Panics if an id in `alive` lies outside the cost table.
-    // analyzer: hot
-    pub fn update_par<F: Fn(JobId) -> bool + Sync>(
-        &mut self,
-        dag: &Dag,
-        costs: &CostTable,
-        alive: &[ResourceId],
-        finished: F,
-        threads: usize,
     ) -> u64 {
         let jobs = dag.job_count();
         let key = (dag.uid(), costs.state_id());
@@ -253,11 +150,7 @@ impl RankEngine {
             costs.fold_columns_into(appended, &mut self.comp_sum);
             self.alive.extend_from_slice(appended);
             self.key = Some(key);
-            if threads > 1 {
-                self.sweep_parallel(dag, costs, &finished, false, threads);
-            } else {
-                self.sweep(dag, costs, &finished, false);
-            }
+            self.sweep(dag, costs, &finished, false);
         } else {
             // Full rebuild — job-tiled column-wise streaming adds
             // (identical per-job fold order, cache-resident accumulator
@@ -273,11 +166,7 @@ impl RankEngine {
             self.alive.extend_from_slice(alive);
             costs.fold_columns_into(alive, &mut self.comp_sum);
             self.key = Some(key);
-            if threads > 1 {
-                self.sweep_parallel(dag, costs, &finished, true, threads);
-            } else {
-                self.sweep(dag, costs, &finished, true);
-            }
+            self.sweep(dag, costs, &finished, true);
         }
         self.epoch
     }
@@ -337,175 +226,6 @@ impl RankEngine {
                 }
             }
         }
-        if any_changed || force {
-            self.epoch += 1;
-        }
-    }
-
-    /// (Re)build the cached level grouping for `dag`: per-job levels by a
-    /// reverse-topological pass, then a counting sort into `level_jobs`.
-    /// Levels depend only on the DAG structure, so the grouping is computed
-    /// once per [`Dag::uid`] and reused across every subsequent sweep.
-    fn ensure_levels(&mut self, dag: &Dag) {
-        if self.level_key == Some(dag.uid()) {
-            return;
-        }
-        let jobs = dag.job_count();
-        self.level_of.clear();
-        self.level_of.resize(jobs, 0);
-        let mut levels = 0u32;
-        for &j in dag.topo_order().iter().rev() {
-            let mut l = 0u32;
-            for &(s, _) in dag.succs(j) {
-                l = l.max(self.level_of[s.idx()] + 1);
-            }
-            self.level_of[j.idx()] = l;
-            levels = levels.max(l + 1);
-        }
-        self.level_starts.clear();
-        self.level_starts.resize(levels as usize + 1, 0);
-        for &l in &self.level_of {
-            self.level_starts[l as usize + 1] += 1;
-        }
-        for i in 1..self.level_starts.len() {
-            self.level_starts[i] += self.level_starts[i - 1];
-        }
-        self.level_cursor.clear();
-        self.level_cursor.extend_from_slice(&self.level_starts[..levels as usize]);
-        self.level_jobs.clear();
-        self.level_jobs.resize(jobs, JobId::from(0usize));
-        for &j in dag.topo_order().iter().rev() {
-            let l = self.level_of[j.idx()] as usize;
-            self.level_jobs[self.level_cursor[l] as usize] = j;
-            self.level_cursor[l] += 1;
-        }
-        self.level_key = Some(dag.uid());
-    }
-
-    /// Level-batched parallel rank sweep, bit-identical to [`Self::sweep`].
-    ///
-    /// Correctness argument: processing levels in ascending order is a
-    /// valid reverse-topological order (every successor of a level-`l` job
-    /// sits in a level `< l`, every predecessor in a level `> l`). Within a
-    /// level, workers only **read** the shared cells — a job's skip test
-    /// reads its own dirty bit and average, both finalized before the level
-    /// started (dirty bits are only set by successors, which live in lower
-    /// levels and were scattered already; same-level jobs are never
-    /// pred/succ of each other). All writes — averages, ranks, dirty marks
-    /// on predecessors — happen in the driver's scatter phase between
-    /// dispatches. Per-job outputs are functions of finalized inputs only,
-    /// so the computed values equal the sequential sweep's exactly, and the
-    /// scatter applies disjoint per-job writes whose order is irrelevant.
-    // analyzer: hot
-    fn sweep_parallel<F: Fn(JobId) -> bool + Sync>(
-        &mut self,
-        dag: &Dag,
-        costs: &CostTable,
-        finished: &F,
-        force: bool,
-        threads: usize,
-    ) {
-        self.ensure_levels(dag);
-        let len = self.alive.len();
-        let len_f = len as f64;
-        if !force {
-            self.dirty.fill(false);
-        }
-        if self.scratch.0.len() < threads {
-            // analyzer::allow(alloc-in-hot-path): one-time worker-slot growth;
-            // reused across every later pass (threads is stable per run).
-            self.scratch.0.resize_with(threads, || Mutex::new(Vec::new()));
-        }
-        let cells = RwLock::new(SweepCells {
-            avg: std::mem::take(&mut self.avg),
-            ranks: std::mem::take(&mut self.ranks),
-            dirty: std::mem::take(&mut self.dirty),
-        });
-        let scratch = &self.scratch.0[..threads];
-        let comp_sum = &self.comp_sum;
-        let level_jobs = &self.level_jobs;
-        let level_starts = &self.level_starts;
-        let par_min = self.level_par_min;
-        let body = |w: usize, range: std::ops::Range<usize>| {
-            // analyzer::allow(panic-in-hot-path): lock poisoning means another
-            // worker already panicked; propagating is the only sound option.
-            let cells = cells.read().expect("sweep cells lock");
-            // analyzer::allow(panic-in-hot-path): same poisoning argument as above.
-            let mut out = scratch[w].lock().expect("sweep scratch lock");
-            out.clear();
-            for idx in range {
-                let j = level_jobs[idx];
-                let ji = j.idx();
-                if finished(j) {
-                    continue; // pruned, exactly as in the sequential sweep
-                }
-                let new_avg = if len == 0 { 0.0 } else { comp_sum[ji] / len_f };
-                if !force && !cells.dirty[ji] && new_avg.to_bits() == cells.avg[ji].to_bits() {
-                    continue;
-                }
-                let mut best = 0.0f64;
-                for &(s, e) in dag.succs(j) {
-                    debug_assert!(
-                        !finished(s),
-                        "finished set must be predecessor-closed: {j} is unfinished but its successor {s} is finished"
-                    );
-                    let cand = costs.avg_comm(e) + cells.ranks[s.idx()];
-                    if cand > best {
-                        best = cand;
-                    }
-                }
-                out.push((ji as u32, new_avg, new_avg + best));
-            }
-        };
-        let any_changed = pool_scope(threads, body, |pool| {
-            let mut any_changed = false;
-            for li in 0..level_starts.len().saturating_sub(1) {
-                let lo = level_starts[li] as usize;
-                let hi = level_starts[li + 1] as usize;
-                if hi == lo {
-                    continue;
-                }
-                // Small levels run inline on the driver (into worker 0's
-                // slot): the dispatch barrier would dwarf their work.
-                let workers = if hi - lo >= par_min && threads > 1 {
-                    pool.dispatch(lo..hi);
-                    threads
-                } else {
-                    body(0, lo..hi);
-                    1
-                };
-                // Scatter phase: sole writer between dispatches. Reducing
-                // in worker order keeps the structure deterministic, though
-                // the per-job writes are disjoint and order-insensitive.
-                // analyzer::allow(panic-in-hot-path): lock poisoning means a
-                // worker panicked; propagating is the only sound option.
-                let mut c = cells.write().expect("sweep cells lock");
-                for slot in &scratch[..workers] {
-                    // analyzer::allow(panic-in-hot-path): same poisoning argument.
-                    let out = slot.lock().expect("sweep scratch lock");
-                    for &(ji, new_avg, new_rank) in out.iter() {
-                        let ji = ji as usize;
-                        c.avg[ji] = new_avg;
-                        if force || new_rank.to_bits() != c.ranks[ji].to_bits() {
-                            c.ranks[ji] = new_rank;
-                            any_changed = true;
-                            if !force {
-                                for &(p, _) in dag.preds(JobId::from(ji)) {
-                                    c.dirty[p.idx()] = true;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            any_changed
-        });
-        // analyzer::allow(panic-in-hot-path): into_inner only errors on
-        // poisoning, i.e. a worker already panicked.
-        let cells = cells.into_inner().expect("sweep cells lock");
-        self.avg = cells.avg;
-        self.ranks = cells.ranks;
-        self.dirty = cells.dirty;
         if any_changed || force {
             self.epoch += 1;
         }
@@ -651,83 +371,6 @@ mod tests {
         assert_ranks_exact(&engine, &dag2, &costs2, &alive);
         engine.update(&dag1, &costs1, &alive, |_| false);
         assert_ranks_exact(&engine, &dag1, &costs1, &alive);
-    }
-
-    /// Layered DAG wide enough to exercise multi-job levels.
-    fn layered(width: usize, depth: usize) -> (Dag, CostTable) {
-        let mut b = DagBuilder::new();
-        for l in 0..depth {
-            for w in 0..width {
-                b.add_job(format!("j{l}_{w}"));
-            }
-        }
-        for l in 0..depth - 1 {
-            for w in 0..width {
-                let src = JobId::from(l * width + w);
-                // Edge to same lane and next lane in the next layer.
-                b.add_edge(src, JobId::from((l + 1) * width + w), (w + 1) as f64).unwrap();
-                b.add_edge(src, JobId::from((l + 1) * width + (w + 1) % width), 2.0).unwrap();
-            }
-        }
-        let dag = b.build().unwrap();
-        let jobs = dag.job_count();
-        let comp: Vec<Vec<f64>> = (0..jobs)
-            .map(|i| (0..4).map(|r| (((i * 13 + r * 7) % 50) + 1) as f64).collect())
-            .collect();
-        let costs = CostTable::from_dag_comm(&dag, &comp, 1.0).unwrap();
-        (dag, costs)
-    }
-
-    #[test]
-    fn parallel_sweep_is_bit_identical_to_sequential() {
-        let (dag, costs) = layered(12, 6);
-        let alive: Vec<ResourceId> = (0..4).map(ResourceId::from).collect();
-        let mut seq = RankEngine::new();
-        seq.update(&dag, &costs, &alive, |_| false);
-        for threads in [2, 4] {
-            let mut par = RankEngine::new();
-            par.set_level_par_min(1); // force dispatches on a small DAG
-            par.update_par(&dag, &costs, &alive, |_| false, threads);
-            for j in dag.job_ids() {
-                assert_eq!(
-                    par.ranks()[j.idx()].to_bits(),
-                    seq.ranks()[j.idx()].to_bits(),
-                    "rank of {j} diverged at threads={threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_append_delta_and_pruning_match_sequential() {
-        let (dag, costs0) = layered(8, 5);
-        let alive0: Vec<ResourceId> = (0..4).map(ResourceId::from).collect();
-        // Finished prefix: the whole first layer (predecessor-closed).
-        let finished = |j: JobId| j.idx() < 8;
-        let mut seq = RankEngine::new();
-        let mut par = RankEngine::new();
-        par.set_level_par_min(1);
-        let mut costs_seq = costs0.clone();
-        let mut costs_par = costs0;
-        seq.update(&dag, &costs_seq, &alive0, finished);
-        par.update_par(&dag, &costs_par, &alive0, finished, 3);
-        // Pool growth: the delta path through both engines.
-        let col: Vec<f64> = (0..dag.job_count()).map(|i| ((i % 9) + 2) as f64).collect();
-        let r_seq = costs_seq.add_resource(&col).unwrap();
-        let r_par = costs_par.add_resource(&col).unwrap();
-        assert_eq!(r_seq, r_par);
-        let mut alive = alive0.clone();
-        alive.push(r_seq);
-        let e_seq = seq.update(&dag, &costs_seq, &alive, finished);
-        let e_par = par.update_par(&dag, &costs_par, &alive, finished, 3);
-        assert_eq!(e_seq, e_par, "epoch sequences must match");
-        for j in dag.job_ids().filter(|&j| !finished(j)) {
-            assert_eq!(
-                par.ranks()[j.idx()].to_bits(),
-                seq.ranks()[j.idx()].to_bits(),
-                "rank of {j} diverged after append delta"
-            );
-        }
     }
 
     #[test]

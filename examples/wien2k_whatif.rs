@@ -10,7 +10,7 @@
 //! scheduling pass the run-time planner uses, so they are exactly the
 //! predictions the paper's online system-management extension would serve.
 
-use aheft::core::aheft::AheftConfig;
+use aheft::core::aheft::{AheftConfig, ScheduleWorkspace};
 use aheft::gridsim::executor::Snapshot;
 use aheft::prelude::*;
 use rand::rngs::StdRng;
@@ -25,6 +25,8 @@ fn main() {
     let alive: Vec<ResourceId> = (0..resources).map(ResourceId::from).collect();
     let snapshot = Snapshot::initial(resources);
     let config = AheftConfig::default();
+    // One workspace answers every query; warm reuse never changes an answer.
+    let mut ws = ScheduleWorkspace::new();
 
     let shape = aheft::workflow::analysis::shape(&wf.dag);
     println!(
@@ -43,7 +45,9 @@ fn main() {
             &alive,
             &config,
             &WhatIfQuery::AddResources { columns },
-        );
+            &mut ws,
+        )
+        .expect("sampled columns are well-formed");
         println!(
             "  {k}   {:>18.0}   {:>5.1}%",
             report.hypothetical_makespan,
@@ -61,7 +65,9 @@ fn main() {
             &alive,
             &config,
             &WhatIfQuery::RemoveResource(ResourceId(r)),
-        );
+            &mut ws,
+        )
+        .expect("r is in the pool");
         println!(
             "  r{:<8} {:>18.0}   {:>5.1}%",
             r + 1,

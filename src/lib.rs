@@ -61,10 +61,7 @@ pub mod prelude {
         make_fairness, run_service, ArrivalProcess, FairnessPolicy, ServiceConfig, ServiceReport,
         FAIRNESS_NAMES,
     };
-    pub use aheft_core::whatif::{
-        try_what_if, try_what_if_policy, what_if, what_if_policy, WhatIfError, WhatIfQuery,
-        WhatIfReport,
-    };
+    pub use aheft_core::whatif::{what_if, WhatIfError, WhatIfQuery, WhatIfReport};
     pub use aheft_core::{DynamicHeuristic, SlotPolicy};
     pub use aheft_gridsim::pool::PoolDynamics;
     pub use aheft_workflow::generators::blast::AppDagParams;

@@ -1,6 +1,6 @@
 //! Integration test for the paper's worked example (Fig. 4 / Fig. 5).
 
-use aheft::core::aheft::{aheft_reschedule, AheftConfig, ReschedulableSet};
+use aheft::core::aheft::{aheft_reschedule, AheftConfig, ReschedulableSet, ScheduleWorkspace};
 use aheft::core::runner::{run_aheft_with, RunConfig};
 use aheft::gridsim::executor::Snapshot;
 use aheft::prelude::*;
@@ -94,6 +94,8 @@ fn what_if_answers_match_heft_over_grown_pool() {
         &(0..3).map(ResourceId::from).collect::<Vec<_>>(),
         &AheftConfig::default(),
         &WhatIfQuery::AddResources { columns: vec![sample::fig4_r4_column()] },
-    );
+        &mut ScheduleWorkspace::new(),
+    )
+    .expect("well-formed query");
     assert!((report.hypothetical_makespan - heft4.predicted_makespan()).abs() < 1e-9);
 }

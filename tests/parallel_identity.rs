@@ -1,24 +1,26 @@
-//! Property gate for ISSUE 9's intra-pass parallelism and tiled kernels:
-//! over random DAGs, pools, mid-run snapshots (finished jobs, committed
-//! transfers, running jobs) and thread counts, one scheduling pass must
-//! produce **byte-identical** results — same assignment sequence, same
-//! f64 bit patterns, same predicted makespan — regardless of
+//! Property gate for the two cost kernels of one scheduling pass: over
+//! random DAGs, pools, mid-run snapshots (finished jobs, committed
+//! transfers, running jobs) and worker threads, one pass must produce
+//! **byte-identical** results — same assignment sequence, same f64 bit
+//! patterns, same predicted makespan — whether
 //!
-//! * the kernel mode ([`KernelMode::ForceBaseline`] = the pre-tiling code
-//!   path, `Auto` = size-gated, `ForceTiled` = row-major mirror forced on),
-//! * the worker count (`threads = N` vs the sequential `threads = 1`),
-//! * whether the parallel paths are forced onto tiny instances (par-min
-//!   thresholds dropped to 1, so the pool machinery really runs).
+//! * the EFT scan reads the column-major cost table (instances below
+//!   [`MIRROR_MIN_CELLS`]) or the row-major mirror (instances from it on),
+//! * the pass runs on the calling thread or on other threads, each with a
+//!   workspace of its own, as the query service's workers do,
+//! * the workspace is cold, warm from the same instance, or warm from the
+//!   other kernel's table.
 //!
-//! A second gate runs whole simulated executions (pool growth, planner
-//! replacements, transfer re-routing) and compares every observable of the
-//! run including the full trace hash.
+//! The size gate is the only kernel switch, so the mirror is reached on
+//! small random instances by padding the cost table with departed
+//! resources: columns that are never alive, which a pass must ignore, until
+//! the table crosses the gate. The column-major pass on the unpadded table
+//! is the reference; `tests/dense_refactor_differential.rs` checks that one
+//! against the independent oracle.
 
 use aheft::core::aheft::{
-    aheft_reschedule_with, AheftConfig, KernelMode, ReschedulableSet, ScheduleWorkspace,
+    aheft_reschedule_with, AheftConfig, ReschedulableSet, ScheduleWorkspace, MIRROR_MIN_CELLS,
 };
-use aheft::core::runner::{run_policy, RunConfig, RunReport};
-use aheft::core::PlannedPolicy;
 use aheft::gridsim::executor::Snapshot;
 use aheft::gridsim::plan::Assignment;
 use aheft::gridsim::reservation::SlotPolicy;
@@ -27,17 +29,6 @@ use aheft::workflow::generators::random::{generate, RandomDagParams};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// A workspace tuned so *every* parallel/tiled path actually executes,
-/// even on instances far below the production size gates.
-fn forced_workspace(kernel: KernelMode, threads: usize) -> ScheduleWorkspace {
-    let mut ws = ScheduleWorkspace::new();
-    ws.set_kernel_mode(kernel);
-    ws.set_threads(threads);
-    ws.set_eft_par_min(1);
-    ws.set_rank_par_min(1);
-    ws
-}
 
 /// Byte-exact assignment comparison (f64 compared by bit pattern).
 fn assert_identical(label: &str, a: &[Assignment], b: &[Assignment]) {
@@ -90,6 +81,26 @@ fn fabricate_snapshot(
     snap
 }
 
+/// `costs` plus sampled columns for departed resources, enough of them that
+/// the table reaches [`MIRROR_MIN_CELLS`] and a pass reads the mirror.
+fn pad_above_gate(costs: &CostTable, gen: &CostGenerator, rng: &mut StdRng) -> CostTable {
+    let mut padded = costs.clone();
+    let jobs = padded.job_count();
+    while jobs * padded.resource_count() < MIRROR_MIN_CELLS {
+        padded.add_resource(&gen.sample_column(rng)).unwrap();
+    }
+    padded
+}
+
+/// The scan kernel a pass runs, fixed by the size of its cost table.
+#[derive(Clone, Copy, Debug)]
+enum Kernel {
+    Columns,
+    Mirror,
+}
+
+const KERNELS: [Kernel; 2] = [Kernel::Columns, Kernel::Mirror];
+
 fn arb_instance() -> impl Strategy<Value = (usize, usize, f64, u64)> {
     (
         4usize..80,                                   // jobs
@@ -111,98 +122,73 @@ proptest! {
         let wf = generate(&p, &mut rng);
         let costs = wf.sample_table(resources, &mut rng);
         let snap = fabricate_snapshot(&wf.dag, &costs, resources, &mut rng);
+        let padded = pad_above_gate(&costs, &wf.costgen, &mut rng);
         // Pool subset: drop one resource on odd seeds (a departed resource).
         let alive: Vec<ResourceId> = (0..resources)
             .filter(|&r| !(seed % 2 == 1 && r == seed as usize % resources))
             .map(ResourceId::from)
             .collect();
-        for config in [
+        let configs = [
             AheftConfig::default(),
             AheftConfig { slot_policy: SlotPolicy::EndOfQueue, ..Default::default() },
             AheftConfig { reschedulable: ReschedulableSet::NotStarted, ..Default::default() },
-        ] {
-            let mut base_ws = forced_workspace(KernelMode::ForceBaseline, 1);
-            let base =
-                aheft_reschedule_with(&wf.dag, &costs, snap.view(), &alive, &config, &mut base_ws);
-            for (kernel, threads) in [
-                (KernelMode::Auto, 1),
-                (KernelMode::ForceTiled, 1),
-                (KernelMode::ForceTiled, 2),
-                (KernelMode::ForceTiled, 4),
-                (KernelMode::Auto, 3),
-            ] {
-                let mut ws = forced_workspace(kernel, threads);
-                let got =
-                    aheft_reschedule_with(&wf.dag, &costs, snap.view(), &alive, &config, &mut ws);
-                let label = format!("{kernel:?}/threads={threads}/{config:?}");
-                assert_identical(&label, base.plan.assignments(), got.plan.assignments());
+        ];
+        let table = |kernel: Kernel| match kernel {
+            Kernel::Columns => &costs,
+            Kernel::Mirror => &padded,
+        };
+        let base: Vec<_> = configs
+            .iter()
+            .map(|config| {
+                let mut ws = ScheduleWorkspace::new();
+                aheft_reschedule_with(&wf.dag, &costs, snap.view(), &alive, config, &mut ws)
+            })
+            .collect();
+
+        for threads in [1usize, 2, 4] {
+            // Every worker owns one workspace and walks the (kernel, config)
+            // grid from its own offset, so each workspace switches kernels
+            // in a different order. Each cell runs twice: the second pass
+            // hits the warm rank and mirror caches.
+            let runs = std::thread::scope(|s| {
+                let workers: Vec<_> = (0..threads)
+                    .map(|w| {
+                        let (dag, snap, alive, configs) = (&wf.dag, &snap, &alive, &configs);
+                        s.spawn(move || {
+                            let mut ws = ScheduleWorkspace::new();
+                            let cells = KERNELS.len() * configs.len();
+                            let mut out = Vec::new();
+                            for k in 0..cells {
+                                let cell = (k + w) % cells;
+                                let kernel = KERNELS[cell / configs.len()];
+                                let ci = cell % configs.len();
+                                for pass in ["cold", "warm"] {
+                                    let got = aheft_reschedule_with(
+                                        dag,
+                                        table(kernel),
+                                        snap.view(),
+                                        alive,
+                                        &configs[ci],
+                                        &mut ws,
+                                    );
+                                    out.push((w, kernel, ci, pass, got));
+                                }
+                            }
+                            out
+                        })
+                    })
+                    .collect();
+                workers.into_iter().map(|h| h.join().unwrap()).collect::<Vec<_>>()
+            });
+            for (w, kernel, ci, pass, got) in runs.into_iter().flatten() {
+                let label = format!("{kernel:?}/threads={threads}/worker={w}/{pass}/{:?}", configs[ci]);
+                assert_identical(&label, base[ci].plan.assignments(), got.plan.assignments());
                 prop_assert_eq!(
-                    base.predicted_makespan.to_bits(),
+                    base[ci].predicted_makespan.to_bits(),
                     got.predicted_makespan.to_bits(),
                     "{}: predicted makespan bits", label
                 );
-                // A second pass through the now-warm workspace (mirror and
-                // level caches hit) must not drift either.
-                let again =
-                    aheft_reschedule_with(&wf.dag, &costs, snap.view(), &alive, &config, &mut ws);
-                assert_identical(&format!("{label}/warm"), base.plan.assignments(),
-                    again.plan.assignments());
             }
-        }
-    }
-}
-
-/// FNV-1a over the debug rendering of every trace record, in order.
-fn trace_hash(report: &RunReport) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for ev in report.trace.events() {
-        for b in format!("{ev:?}").bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
-}
-
-#[test]
-fn end_to_end_runs_identical_across_threads() {
-    // Whole simulated executions — pool growth, planner evaluations, plan
-    // replacements, aborts, transfer re-routing — under threads ∈ {1, 2, 4}
-    // with every parallel path forced on, compared on every observable
-    // including the trace.
-    for seed in 0..6u64 {
-        let mut rng = StdRng::seed_from_u64(7000 + seed);
-        let p = RandomDagParams { jobs: 40, ..RandomDagParams::paper_default() };
-        let wf = generate(&p, &mut rng);
-        let costs = wf.sample_table(5, &mut rng);
-        let dynamics = PoolDynamics::periodic_growth(5, 250.0, 0.2);
-        let mut reports = Vec::new();
-        for threads in [1usize, 2, 4] {
-            let cfg = RunConfig { record_trace: true, threads, ..Default::default() };
-            let mut pol = PlannedPolicy::adaptive(&cfg);
-            let ws = pol.planner_mut().workspace_mut();
-            ws.set_kernel_mode(KernelMode::ForceTiled);
-            ws.set_eft_par_min(1);
-            ws.set_rank_par_min(1);
-            let r = run_policy(&wf.dag, &costs, &wf.costgen, &dynamics, seed, &cfg, &mut pol);
-            reports.push((threads, r));
-        }
-        let (_, base) = &reports[0];
-        for (threads, r) in &reports[1..] {
-            assert_eq!(
-                base.makespan.to_bits(),
-                r.makespan.to_bits(),
-                "seed {seed}: makespan diverged at threads={threads}"
-            );
-            assert_eq!(base.reschedules, r.reschedules, "seed {seed} threads={threads}");
-            assert_eq!(base.evaluations, r.evaluations, "seed {seed} threads={threads}");
-            assert_eq!(base.aborted_jobs, r.aborted_jobs, "seed {seed} threads={threads}");
-            assert_eq!(base.events_processed, r.events_processed, "seed {seed} threads={threads}");
-            assert_eq!(
-                trace_hash(base),
-                trace_hash(r),
-                "seed {seed}: trace diverged at threads={threads}"
-            );
         }
     }
 }
