@@ -3,9 +3,10 @@
 //! quality ablation (`experiments -- ablations`) can be weighed against
 //! planner overhead.
 
-use aheft_core::aheft::{AheftConfig, ReschedulableSet};
-use aheft_core::runner::{run_aheft_with, run_dynamic, run_static_heft_with, RunConfig};
-use aheft_core::{DynamicHeuristic, SlotPolicy};
+use aheft_core::aheft::AheftConfig;
+use aheft_core::policy::run_named_policy;
+use aheft_core::runner::RunConfig;
+use aheft_core::SlotPolicy;
 use aheft_gridsim::pool::PoolDynamics;
 use aheft_workflow::generators::blast::{self, AppDagParams};
 use aheft_workflow::generators::random::{generate, RandomDagParams};
@@ -30,7 +31,7 @@ fn bench_slot_policy(c: &mut Criterion) {
         };
         group.bench_function(name, |b| {
             b.iter(|| {
-                black_box(run_static_heft_with(&wf.dag, &costs, &wf.costgen, &fixed, 1, &cfg))
+                black_box(run_named_policy("heft", &wf.dag, &costs, &wf.costgen, &fixed, 1, &cfg))
             })
         });
     }
@@ -45,16 +46,20 @@ fn bench_reschedulable_set(c: &mut Criterion) {
     let wf = blast::generate(&p, &mut rng);
     let costs = wf.sample_table(10, &mut rng);
     let dynamics = PoolDynamics::periodic_growth(10, 400.0, 0.25);
-    for (name, set) in [
-        ("abort_running", ReschedulableSet::AllUnfinished),
-        ("pin_running", ReschedulableSet::NotStarted),
-    ] {
-        let cfg = RunConfig {
-            aheft: AheftConfig { reschedulable: set, ..Default::default() },
-            ..Default::default()
-        };
+    let cfg = RunConfig::default();
+    for (name, policy) in [("abort_running", "aheft"), ("pin_running", "aheft-pin")] {
         group.bench_function(name, |b| {
-            b.iter(|| black_box(run_aheft_with(&wf.dag, &costs, &wf.costgen, &dynamics, 1, &cfg)))
+            b.iter(|| {
+                black_box(run_named_policy(
+                    policy,
+                    &wf.dag,
+                    &costs,
+                    &wf.costgen,
+                    &dynamics,
+                    1,
+                    &cfg,
+                ))
+            })
         });
     }
     group.finish();
@@ -68,13 +73,12 @@ fn bench_dynamic_heuristics(c: &mut Criterion) {
     let wf = generate(&p, &mut rng);
     let costs = wf.sample_table(10, &mut rng);
     let fixed = PoolDynamics::fixed(10);
-    for (name, h) in [
-        ("minmin", DynamicHeuristic::MinMin),
-        ("maxmin", DynamicHeuristic::MaxMin),
-        ("sufferage", DynamicHeuristic::Sufferage),
-    ] {
+    let cfg = RunConfig::default();
+    for name in ["minmin", "maxmin", "sufferage"] {
         group.bench_function(name, |b| {
-            b.iter(|| black_box(run_dynamic(&wf.dag, &costs, &wf.costgen, &fixed, 1, h)))
+            b.iter(|| {
+                black_box(run_named_policy(name, &wf.dag, &costs, &wf.costgen, &fixed, 1, &cfg))
+            })
         });
     }
     group.finish();

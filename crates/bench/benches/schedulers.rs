@@ -4,8 +4,9 @@
 //! planner-side costs the paper's architecture pays per event.
 
 use aheft_core::aheft::{aheft_reschedule, aheft_schedule_into, AheftConfig, ScheduleWorkspace};
-use aheft_core::heft::{heft_schedule, HeftConfig};
+use aheft_core::heft::heft_schedule;
 use aheft_core::minmin::{select_batch, DynamicHeuristic};
+use aheft_core::SlotPolicy;
 use aheft_gridsim::executor::{ExecState, Snapshot};
 use aheft_workflow::generators::random::{generate, RandomDagParams};
 use aheft_workflow::ResourceId;
@@ -25,7 +26,7 @@ fn bench_heft(c: &mut Criterion) {
             BenchmarkId::from_parameter(format!("v{jobs}_r{resources}")),
             &(&wf.dag, &costs),
             |b, (dag, costs)| {
-                b.iter(|| heft_schedule(black_box(dag), black_box(costs), &HeftConfig::default()))
+                b.iter(|| heft_schedule(black_box(dag), black_box(costs), SlotPolicy::Insertion))
             },
         );
     }

@@ -2,8 +2,8 @@
 //! throughput and complete end-to-end workflow simulations — the Executor
 //! side of the paper's architecture.
 
-use aheft_core::runner::{run_aheft, run_dynamic, run_static_heft};
-use aheft_core::DynamicHeuristic;
+use aheft_core::policy::run_named_policy;
+use aheft_core::runner::RunConfig;
 use aheft_gridsim::engine::EventQueue;
 use aheft_gridsim::event::Event;
 use aheft_gridsim::pool::PoolDynamics;
@@ -79,16 +79,12 @@ fn bench_full_runs(c: &mut Criterion) {
     let wf = generate(&p, &mut rng);
     let costs = wf.sample_table(10, &mut rng);
     let dynamics = PoolDynamics::periodic_growth(10, 400.0, 0.25);
+    let cfg = RunConfig::default();
+    let run = |name| run_named_policy(name, &wf.dag, &costs, &wf.costgen, &dynamics, 5, &cfg);
 
-    group.bench_function("static_heft_v60_r10", |b| {
-        b.iter(|| run_static_heft(&wf.dag, &costs, &wf.costgen, &dynamics, 5))
-    });
-    group.bench_function("aheft_v60_r10", |b| {
-        b.iter(|| run_aheft(&wf.dag, &costs, &wf.costgen, &dynamics, 5))
-    });
-    group.bench_function("dynamic_minmin_v60_r10", |b| {
-        b.iter(|| run_dynamic(&wf.dag, &costs, &wf.costgen, &dynamics, 5, DynamicHeuristic::MinMin))
-    });
+    group.bench_function("static_heft_v60_r10", |b| b.iter(|| run("heft")));
+    group.bench_function("aheft_v60_r10", |b| b.iter(|| run("aheft")));
+    group.bench_function("dynamic_minmin_v60_r10", |b| b.iter(|| run("minmin")));
     group.finish();
 }
 

@@ -13,10 +13,11 @@
 //! comparable to the paper's absolute numbers. Each table's note carries
 //! the paper's reference values.
 
-use aheft_core::aheft::{AheftConfig, ReschedulableSet};
+use aheft_core::aheft::AheftConfig;
+use aheft_core::policy::run_named_policy;
 use aheft_core::recovery::{make_recovery, RECOVERY_NAMES};
-use aheft_core::runner::{run_aheft_with, run_dynamic, run_static_heft_with, RunConfig};
-use aheft_core::{DynamicHeuristic, ReschedulePolicy, SlotPolicy};
+use aheft_core::runner::RunConfig;
+use aheft_core::{ReschedulePolicy, SlotPolicy};
 use aheft_gridsim::fault::{FailureModel, JobFaultModel};
 use aheft_gridsim::stats::Running;
 use aheft_workflow::generators::blast::AppDagParams;
@@ -209,14 +210,8 @@ pub fn fig5() -> Vec<TextTable> {
         aheft_gridsim::pool::PoolDynamics::periodic_growth(3, sample::FIG4_R4_ARRIVAL, 1.0 / 3.0)
             .with_cap(4);
     let cfg = RunConfig { record_trace: true, ..Default::default() };
-    let heft = run_static_heft_with(&dag, &costs, &costgen, &dynamics, 1, &cfg);
-    let aheft = run_aheft_with(&dag, &costs, &costgen, &dynamics, 1, &cfg);
-    let pinned_cfg = RunConfig {
-        aheft: AheftConfig { reschedulable: ReschedulableSet::NotStarted, ..Default::default() },
-        record_trace: true,
-        ..Default::default()
-    };
-    let pinned = run_aheft_with(&dag, &costs, &costgen, &dynamics, 1, &pinned_cfg);
+    let run = |name| run_named_policy(name, &dag, &costs, &costgen, &dynamics, 1, &cfg);
+    let (heft, aheft, pinned) = (run("heft"), run("aheft"), run("aheft-pin"));
 
     let mut t = TextTable::new(
         "Fig. 5 — worked example (r4 joins at t=15)",
@@ -651,14 +646,9 @@ pub fn robustness(scale: Scale, cfg: &SweepConfig) -> TextTable {
 /// Which scheduler variant an ablation case evaluates.
 #[derive(Clone, Copy)]
 enum AblationRun {
-    /// Static HEFT under a slot policy; reports its makespan.
-    HeftSlot(SlotPolicy),
-    /// AHEFT with a reschedulable-set choice; reports makespan+reschedules.
-    AheftSet(ReschedulableSet),
-    /// AHEFT under a trigger policy; reports makespan+evaluations.
-    AheftPolicy(ReschedulePolicy),
-    /// A dynamic just-in-time heuristic; reports its makespan.
-    Dynamic(DynamicHeuristic),
+    /// A registered policy under a run configuration; reports makespan,
+    /// reschedules and evaluations.
+    Named(&'static str, RunConfig),
     /// The standard HEFT-vs-AHEFT paired run.
     Paired,
 }
@@ -670,7 +660,7 @@ struct AblationCase {
     run: AblationRun,
 }
 
-/// Uniform ablation result; unused fields are zero.
+/// Uniform ablation result; each table reads the fields it reports.
 #[derive(Clone, Copy, Default)]
 struct AblationResult {
     makespan: f64,
@@ -681,7 +671,7 @@ struct AblationResult {
 }
 
 fn run_ablation(ac: &AblationCase) -> AblationResult {
-    if let AblationRun::Paired = ac.run {
+    let AblationRun::Named(name, cfg) = ac.run else {
         let r = run_case(&ac.case, false);
         return AblationResult {
             paired: Some((r.heft, r.aheft, r.jobs)),
@@ -689,44 +679,15 @@ fn run_ablation(ac: &AblationCase) -> AblationResult {
             reschedules: r.reschedules as f64,
             ..Default::default()
         };
-    }
+    };
     let (wf, costs, sim_seed) = ac.case.materialize();
     let dynamics = ac.case.dynamics();
-    match ac.run {
-        AblationRun::HeftSlot(policy) => {
-            let cfg = RunConfig {
-                aheft: AheftConfig { slot_policy: policy, ..Default::default() },
-                ..Default::default()
-            };
-            let rep = run_static_heft_with(&wf.dag, &costs, &wf.costgen, &dynamics, sim_seed, &cfg);
-            AblationResult { makespan: rep.makespan, ..Default::default() }
-        }
-        AblationRun::AheftSet(set) => {
-            let cfg = RunConfig {
-                aheft: AheftConfig { reschedulable: set, ..Default::default() },
-                ..Default::default()
-            };
-            let rep = run_aheft_with(&wf.dag, &costs, &wf.costgen, &dynamics, sim_seed, &cfg);
-            AblationResult {
-                makespan: rep.makespan,
-                reschedules: rep.reschedules as f64,
-                ..Default::default()
-            }
-        }
-        AblationRun::AheftPolicy(policy) => {
-            let cfg = RunConfig { policy, ..Default::default() };
-            let rep = run_aheft_with(&wf.dag, &costs, &wf.costgen, &dynamics, sim_seed, &cfg);
-            AblationResult {
-                makespan: rep.makespan,
-                evaluations: rep.evaluations as f64,
-                ..Default::default()
-            }
-        }
-        AblationRun::Dynamic(h) => {
-            let rep = run_dynamic(&wf.dag, &costs, &wf.costgen, &dynamics, sim_seed, h);
-            AblationResult { makespan: rep.makespan, ..Default::default() }
-        }
-        AblationRun::Paired => unreachable!("handled above"),
+    let rep = run_named_policy(name, &wf.dag, &costs, &wf.costgen, &dynamics, sim_seed, &cfg);
+    AblationResult {
+        makespan: rep.makespan,
+        reschedules: rep.reschedules as f64,
+        evaluations: rep.evaluations as f64,
+        paired: None,
     }
 }
 
@@ -760,25 +721,29 @@ pub fn ablations(scale: Scale, sweep_cfg: &SweepConfig) -> Vec<TextTable> {
         seed: mix_seed(tag, s),
     };
 
-    // Row definitions: (table, row label, cases). Group order is the row
-    // order, so shard splits partition whole rows.
-    let slot_rows: Vec<(&str, SlotPolicy)> = vec![
-        ("insertion (HEFT [19])", SlotPolicy::Insertion),
-        ("end-of-queue (Fig. 3)", SlotPolicy::EndOfQueue),
+    // Row definitions: (row label, variant). Group order is the row order,
+    // so shard splits partition whole rows.
+    let slot = |slot_policy| {
+        let aheft = AheftConfig { slot_policy, ..Default::default() };
+        AblationRun::Named("heft", RunConfig { aheft, ..Default::default() })
+    };
+    let trigger = |policy| AblationRun::Named("aheft", RunConfig { policy, ..Default::default() });
+    let named = |name| AblationRun::Named(name, RunConfig::default());
+    let slot_rows = [
+        ("insertion (HEFT [19])", slot(SlotPolicy::Insertion)),
+        ("end-of-queue (Fig. 3)", slot(SlotPolicy::EndOfQueue)),
     ];
-    let set_rows: Vec<(&str, ReschedulableSet)> = vec![
-        ("abort running (paper text)", ReschedulableSet::AllUnfinished),
-        ("pin running", ReschedulableSet::NotStarted),
+    let set_rows =
+        [("abort running (paper text)", named("aheft")), ("pin running", named("aheft-pin"))];
+    let policy_rows = [
+        ("on pool change (paper)", trigger(ReschedulePolicy::OnPoolChange)),
+        ("periodic 200", trigger(ReschedulePolicy::Periodic { period: 200.0 })),
+        ("never (= static)", trigger(ReschedulePolicy::Never)),
     ];
-    let policy_rows: Vec<(&str, ReschedulePolicy)> = vec![
-        ("on pool change (paper)", ReschedulePolicy::OnPoolChange),
-        ("periodic 200", ReschedulePolicy::Periodic { period: 200.0 }),
-        ("never (= static)", ReschedulePolicy::Never),
-    ];
-    let dyn_rows: Vec<(&str, DynamicHeuristic)> = vec![
-        ("Min-Min (paper)", DynamicHeuristic::MinMin),
-        ("Max-Min", DynamicHeuristic::MaxMin),
-        ("Sufferage", DynamicHeuristic::Sufferage),
+    let dyn_rows = [
+        ("Min-Min (paper)", named("minmin")),
+        ("Max-Min", named("maxmin")),
+        ("Sufferage", named("sufferage")),
     ];
     let shape_rows: Vec<(&str, MakeApp)> = vec![
         ("BLAST (wide)", Workload::Blast),
@@ -810,12 +775,9 @@ pub fn ablations(scale: Scale, sweep_cfg: &SweepConfig) -> Vec<TextTable> {
     );
     let groups = slot_rows
         .iter()
-        .map(|&(_, policy)| {
+        .map(|&(_, run)| {
             (0..seeds * 8)
-                .map(|s| AblationCase {
-                    case: random_case(n, None, false, 901, s),
-                    run: AblationRun::HeftSlot(policy),
-                })
+                .map(|s| AblationCase { case: random_case(n, None, false, 901, s), run })
                 .collect()
         })
         .collect();
@@ -831,13 +793,8 @@ pub fn ablations(scale: Scale, sweep_cfg: &SweepConfig) -> Vec<TextTable> {
     );
     let groups = set_rows
         .iter()
-        .map(|&(_, set)| {
-            (0..seeds * 4)
-                .map(|s| AblationCase {
-                    case: blast_case(0.25, 902, s),
-                    run: AblationRun::AheftSet(set),
-                })
-                .collect()
+        .map(|&(_, run)| {
+            (0..seeds * 4).map(|s| AblationCase { case: blast_case(0.25, 902, s), run }).collect()
         })
         .collect();
     for (gi, rs) in run_table(groups) {
@@ -856,13 +813,8 @@ pub fn ablations(scale: Scale, sweep_cfg: &SweepConfig) -> Vec<TextTable> {
     );
     let groups = policy_rows
         .iter()
-        .map(|&(_, policy)| {
-            (0..seeds * 4)
-                .map(|s| AblationCase {
-                    case: blast_case(0.25, 903, s),
-                    run: AblationRun::AheftPolicy(policy),
-                })
-                .collect()
+        .map(|&(_, run)| {
+            (0..seeds * 4).map(|s| AblationCase { case: blast_case(0.25, 903, s), run }).collect()
         })
         .collect();
     for (gi, rs) in run_table(groups) {
@@ -881,11 +833,11 @@ pub fn ablations(scale: Scale, sweep_cfg: &SweepConfig) -> Vec<TextTable> {
     );
     let groups = dyn_rows
         .iter()
-        .map(|&(_, h)| {
+        .map(|&(_, run)| {
             (0..seeds * 4)
                 .map(|s| AblationCase {
                     case: random_case(n.min(60), Some(5.0), true, 904, s),
-                    run: AblationRun::Dynamic(h),
+                    run,
                 })
                 .collect()
         })

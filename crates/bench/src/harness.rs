@@ -5,8 +5,7 @@
 //! resource-change model `(Δ, δ)`, and a seed. [`run_case`] executes the
 //! strategies on *the same* generated grid (identical DAG, identical cost
 //! table, identical late-arrival columns), which is the paper's paired
-//! methodology. Sweeps fan out through [`crate::sweep::run_sharded`] (or
-//! directly over [`aheft_parcomp::par_map`] via [`run_cases`]).
+//! methodology. Sweeps fan out through [`crate::sweep::run_sharded`].
 //!
 //! ## Seed streams
 //!
@@ -19,8 +18,8 @@
 //! thread, shard, or process evaluates the case.
 
 use aheft_core::policy::run_named_policy;
-use aheft_core::runner::{run_aheft, run_dynamic, run_static_heft, RunConfig};
-use aheft_core::{DynamicHeuristic, RecoveryPolicy};
+use aheft_core::runner::RunConfig;
+use aheft_core::RecoveryPolicy;
 use aheft_gridsim::fault::{FailureModel, JobFaultModel};
 use aheft_gridsim::pool::PoolDynamics;
 use aheft_gridsim::predictor::ActualModel;
@@ -142,12 +141,12 @@ pub fn case_streams(seed: u64) -> (u64, u64, u64) {
 pub fn run_case(case: &Case, with_minmin: bool) -> CaseResult {
     let (wf, costs, sim_seed) = case.materialize();
     let dynamics = case.dynamics();
-    let heft = run_static_heft(&wf.dag, &costs, &wf.costgen, &dynamics, sim_seed);
-    let aheft = run_aheft(&wf.dag, &costs, &wf.costgen, &dynamics, sim_seed);
-    let minmin = with_minmin.then(|| {
-        run_dynamic(&wf.dag, &costs, &wf.costgen, &dynamics, sim_seed, DynamicHeuristic::MinMin)
-            .makespan
-    });
+    let cfg = RunConfig::default();
+    let run =
+        |name| run_named_policy(name, &wf.dag, &costs, &wf.costgen, &dynamics, sim_seed, &cfg);
+    let heft = run("heft");
+    let aheft = run("aheft");
+    let minmin = with_minmin.then(|| run("minmin").makespan);
     CaseResult {
         heft: heft.makespan,
         aheft: aheft.makespan,
@@ -155,11 +154,6 @@ pub fn run_case(case: &Case, with_minmin: bool) -> CaseResult {
         reschedules: aheft.reschedules,
         jobs: wf.dag.job_count(),
     }
-}
-
-/// Run many cases in parallel, preserving order.
-pub fn run_cases(cases: &[Case], with_minmin: bool) -> Vec<CaseResult> {
-    aheft_parcomp::par_map(cases, aheft_parcomp::default_threads(), |c| run_case(c, with_minmin))
 }
 
 /// One named policy's makespan on a case, paired with the static-HEFT
@@ -187,13 +181,10 @@ pub fn run_policy_case(case: &Case, policy: &str) -> PolicyCaseResult {
     let (wf, costs, sim_seed) = case.materialize();
     let dynamics = case.dynamics();
     let cfg = RunConfig::default();
-    let report = run_named_policy(policy, &wf.dag, &costs, &wf.costgen, &dynamics, sim_seed, &cfg)
-        .unwrap_or_else(|| panic!("unknown policy '{policy}' (validated upfront)"));
-    let heft = if policy == "heft" {
-        report.makespan
-    } else {
-        run_static_heft(&wf.dag, &costs, &wf.costgen, &dynamics, sim_seed).makespan
-    };
+    let run =
+        |name| run_named_policy(name, &wf.dag, &costs, &wf.costgen, &dynamics, sim_seed, &cfg);
+    let report = run(policy);
+    let heft = if policy == "heft" { report.makespan } else { run("heft").makespan };
     PolicyCaseResult { makespan: report.makespan, heft, reschedules: report.reschedules }
 }
 
@@ -243,8 +234,7 @@ pub fn run_robustness_case(
         ..Default::default()
     };
     let chaos =
-        run_named_policy(policy, &wf.dag, &costs, &wf.costgen, &dynamics, sim_seed, &chaos_cfg)
-            .unwrap_or_else(|| panic!("unknown policy '{policy}' (validated upfront)"));
+        run_named_policy(policy, &wf.dag, &costs, &wf.costgen, &dynamics, sim_seed, &chaos_cfg);
     // The clean baseline keeps the noise model (so the delta is the fault
     // cost, not the noise cost); disabled fault models draw nothing, so
     // the baseline's non-fault streams match the chaos run draw for draw.
@@ -253,8 +243,7 @@ pub fn run_robustness_case(
         ..Default::default()
     };
     let clean =
-        run_named_policy(policy, &wf.dag, &costs, &wf.costgen, &dynamics, sim_seed, &clean_cfg)
-            .expect("policy name validated above");
+        run_named_policy(policy, &wf.dag, &costs, &wf.costgen, &dynamics, sim_seed, &clean_cfg);
     RobustnessCaseResult {
         makespan: chaos.makespan,
         clean: clean.makespan,
@@ -305,17 +294,6 @@ mod tests {
             let r = run_case(&small_case(seed), false);
             assert!(r.aheft <= r.heft + 1e-6, "seed {seed}: {r:?}");
             assert!(r.improvement() >= -1e-9);
-        }
-    }
-
-    #[test]
-    fn parallel_equals_sequential() {
-        let cases: Vec<Case> = (0..8).map(small_case).collect();
-        let par = run_cases(&cases, false);
-        let seq: Vec<CaseResult> = cases.iter().map(|c| run_case(c, false)).collect();
-        for (p, s) in par.iter().zip(&seq) {
-            assert_eq!(p.heft, s.heft);
-            assert_eq!(p.aheft, s.aheft);
         }
     }
 

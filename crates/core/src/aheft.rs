@@ -111,10 +111,9 @@ enum PredFea {
 
 /// Reusable scratch memory for the scheduling hot path, owned by
 /// [`crate::planner::AdaptivePlanner`] and threaded through
-/// [`aheft_reschedule_with`] / [`crate::heft::heft_schedule_with`] /
-/// [`crate::whatif::what_if`]. Every buffer is dense and indexed by job or
-/// resource id; nothing is allocated per pass once the buffers have grown
-/// to the problem size.
+/// [`aheft_schedule_into`] and [`crate::whatif::what_if`]. Every buffer is
+/// dense and indexed by job or resource id; nothing is allocated per pass
+/// once the buffers have grown to the problem size.
 #[derive(Debug, Clone, Default)]
 pub struct ScheduleWorkspace {
     /// Incrementally maintained `rank_u` against the current pool: pool
@@ -197,9 +196,13 @@ impl ScheduleWorkspace {
 }
 
 /// Run one AHEFT scheduling pass over an owned snapshot, allocating a fresh
-/// workspace. Convenience wrapper over [`aheft_reschedule_with`] for tests
-/// and one-shot callers; hot paths hold a [`ScheduleWorkspace`] and use the
-/// `_with` form.
+/// workspace, and package the result as a [`RescheduleOutcome`]. A
+/// one-shot convenience for tests and one-off callers; hot paths hold a
+/// [`ScheduleWorkspace`] and call [`aheft_schedule_into`].
+///
+/// `alive` lists the resources currently in the pool (cost-table columns of
+/// departed resources are skipped). For the initial schedule pass use
+/// [`Snapshot::initial`] and the full resource list.
 ///
 /// # Panics
 /// Panics if `alive` is empty or references columns outside the cost table.
@@ -211,28 +214,9 @@ pub fn aheft_reschedule(
     config: &AheftConfig,
 ) -> RescheduleOutcome {
     let mut ws = ScheduleWorkspace::new();
-    aheft_reschedule_with(dag, costs, snapshot.view(), alive, config, &mut ws)
-}
-
-/// Run one AHEFT scheduling pass over `view`, reusing `ws` for all scratch
-/// state, and package the result as a [`RescheduleOutcome`].
-///
-/// `alive` lists the resources currently in the pool (cost-table columns of
-/// departed resources are skipped). For the initial schedule pass use
-/// [`Snapshot::initial`] and the full resource list.
-///
-/// # Panics
-/// Panics if `alive` is empty or references columns outside the cost table.
-pub fn aheft_reschedule_with(
-    dag: &Dag,
-    costs: &CostTable,
-    view: SnapshotView<'_>,
-    alive: &[ResourceId],
-    config: &AheftConfig,
-    ws: &mut ScheduleWorkspace,
-) -> RescheduleOutcome {
-    let predicted_makespan = aheft_schedule_into(dag, costs, view, alive, config, ws);
-    RescheduleOutcome { plan: ws.to_plan(view.clock), predicted_makespan }
+    let predicted_makespan =
+        aheft_schedule_into(dag, costs, snapshot.view(), alive, config, &mut ws);
+    RescheduleOutcome { plan: ws.to_plan(snapshot.clock), predicted_makespan }
 }
 
 /// The allocation-free core: one AHEFT pass over `view` writing the new
@@ -634,32 +618,27 @@ mod tests {
         let big = b.build().unwrap();
         let big_costs =
             CostTable::from_dag_comm(&big, &vec![vec![7.0, 9.0, 4.0, 5.0, 6.0]; 20], 1.0).unwrap();
-        let _ = aheft_reschedule_with(
+        let cfg = AheftConfig::default();
+        aheft_schedule_into(
             &big,
             &big_costs,
             Snapshot::initial(5).view(),
             &alive(5),
-            &AheftConfig::default(),
+            &cfg,
             &mut ws,
         );
         // Now the Fig. 4 instance through the dirty workspace.
-        let fresh = aheft_reschedule(
-            &dag,
-            &costs,
-            &Snapshot::initial(3),
-            &alive(3),
-            &AheftConfig::default(),
-        );
-        let reused = aheft_reschedule_with(
+        let fresh = aheft_reschedule(&dag, &costs, &Snapshot::initial(3), &alive(3), &cfg);
+        let reused = aheft_schedule_into(
             &dag,
             &costs,
             Snapshot::initial(3).view(),
             &alive(3),
-            &AheftConfig::default(),
+            &cfg,
             &mut ws,
         );
-        assert_eq!(fresh.plan.assignments(), reused.plan.assignments());
-        assert_eq!(fresh.predicted_makespan, reused.predicted_makespan);
+        assert_eq!(fresh.plan.assignments(), ws.assignments());
+        assert_eq!(fresh.predicted_makespan, reused);
     }
 
     #[test]

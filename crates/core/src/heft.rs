@@ -11,38 +11,17 @@
 use aheft_gridsim::executor::Snapshot;
 use aheft_gridsim::reservation::SlotPolicy;
 use aheft_workflow::{CostTable, Dag};
-use serde::{Deserialize, Serialize};
 
-use crate::aheft::{aheft_reschedule_with, AheftConfig, ScheduleWorkspace};
+use crate::aheft::{aheft_reschedule, AheftConfig};
 use crate::schedule::{all_resources, Schedule};
 
-/// HEFT configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct HeftConfig {
-    /// Slot search policy; insertion-based is the original algorithm.
-    pub slot_policy: SlotPolicy,
-}
-
 /// Compute a full static HEFT schedule for `dag` over every resource of
-/// `costs`, allocating a fresh workspace.
-pub fn heft_schedule(dag: &Dag, costs: &CostTable, config: &HeftConfig) -> Schedule {
-    let mut ws = ScheduleWorkspace::new();
-    heft_schedule_with(dag, costs, config, &mut ws)
-}
-
-/// As [`heft_schedule`], reusing a caller-provided [`ScheduleWorkspace`]
-/// (sweeps scheduling many DAGs back to back avoid re-growing scratch
-/// buffers).
-pub fn heft_schedule_with(
-    dag: &Dag,
-    costs: &CostTable,
-    config: &HeftConfig,
-    ws: &mut ScheduleWorkspace,
-) -> Schedule {
+/// `costs`; [`SlotPolicy::Insertion`] is the original algorithm.
+pub fn heft_schedule(dag: &Dag, costs: &CostTable, slot_policy: SlotPolicy) -> Schedule {
     let alive = all_resources(costs);
     let snapshot = Snapshot::initial(costs.resource_count());
-    let cfg = AheftConfig { slot_policy: config.slot_policy, ..Default::default() };
-    aheft_reschedule_with(dag, costs, snapshot.view(), &alive, &cfg, ws).plan
+    let cfg = AheftConfig { slot_policy, ..Default::default() };
+    aheft_reschedule(dag, costs, &snapshot, &alive, &cfg).plan
 }
 
 #[cfg(test)]
@@ -57,7 +36,7 @@ mod tests {
     fn fig5a_makespan_is_80() {
         let dag = sample::fig4_dag();
         let costs = sample::fig4_costs_initial();
-        let s = heft_schedule(&dag, &costs, &HeftConfig::default());
+        let s = heft_schedule(&dag, &costs, SlotPolicy::Insertion);
         assert!((s.predicted_makespan() - 80.0).abs() < 1e-9, "{}", s.predicted_makespan());
         assert!(s.validate(&dag, &costs).is_empty());
     }
@@ -71,8 +50,8 @@ mod tests {
         // AHEFT's accept-only-if-better rule (Fig. 2 line 7) matters: a
         // grown pool does not automatically produce a better plan.
         let dag = sample::fig4_dag();
-        let s3 = heft_schedule(&dag, &sample::fig4_costs_initial(), &HeftConfig::default());
-        let s4 = heft_schedule(&dag, &sample::fig4_costs_full(), &HeftConfig::default());
+        let s3 = heft_schedule(&dag, &sample::fig4_costs_initial(), SlotPolicy::Insertion);
+        let s4 = heft_schedule(&dag, &sample::fig4_costs_full(), SlotPolicy::Insertion);
         assert!((s3.predicted_makespan() - 80.0).abs() < 1e-9);
         assert!((s4.predicted_makespan() - 87.0).abs() < 1e-9, "{}", s4.predicted_makespan());
     }
@@ -84,7 +63,7 @@ mod tests {
             let p = RandomDagParams { jobs, ..RandomDagParams::paper_default() };
             let wf = generate(&p, &mut rng);
             let costs = wf.sample_table(8, &mut rng);
-            let s = heft_schedule(&wf.dag, &costs, &HeftConfig::default());
+            let s = heft_schedule(&wf.dag, &costs, SlotPolicy::Insertion);
             assert_eq!(s.len(), jobs);
             let problems = s.validate(&wf.dag, &costs);
             assert!(problems.is_empty(), "{problems:?}");
@@ -99,10 +78,8 @@ mod tests {
             let p = RandomDagParams { jobs: 40, ..RandomDagParams::paper_default() };
             let wf = generate(&p, &mut rng);
             let costs = wf.sample_table(6, &mut rng);
-            let ins =
-                heft_schedule(&wf.dag, &costs, &HeftConfig { slot_policy: SlotPolicy::Insertion });
-            let eoq =
-                heft_schedule(&wf.dag, &costs, &HeftConfig { slot_policy: SlotPolicy::EndOfQueue });
+            let ins = heft_schedule(&wf.dag, &costs, SlotPolicy::Insertion);
+            let eoq = heft_schedule(&wf.dag, &costs, SlotPolicy::EndOfQueue);
             // Insertion is not universally better per-instance in theory,
             // but both must be valid; record the common case.
             assert!(ins.validate(&wf.dag, &costs).is_empty());

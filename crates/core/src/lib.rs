@@ -47,10 +47,10 @@ pub mod service;
 pub mod whatif;
 
 pub use aheft::{
-    aheft_reschedule, aheft_reschedule_with, aheft_schedule_into, AheftConfig, ReschedulableSet,
-    RescheduleOutcome, ScheduleWorkspace,
+    aheft_reschedule, aheft_schedule_into, AheftConfig, ReschedulableSet, RescheduleOutcome,
+    ScheduleWorkspace,
 };
-pub use heft::{heft_schedule, heft_schedule_with, HeftConfig};
+pub use heft::heft_schedule;
 pub use minmin::DynamicHeuristic;
 pub use planner::{AdaptivePlanner, ReschedulePolicy};
 pub use policy::{
@@ -58,7 +58,7 @@ pub use policy::{
     SchedulingPolicy, POLICY_NAMES,
 };
 pub use recovery::{make_recovery, recovery_summary, RecoveryPolicy, RECOVERY_NAMES};
-pub use runner::{run_aheft, run_dynamic, run_policy, run_static_heft, ExecCtx, RunReport};
+pub use runner::{run_policy, ExecCtx, RunConfig, RunReport};
 pub use schedule::Schedule;
 pub use service::{
     fairness_summary, is_fairness, make_fairness, run_service, workflow_streams, ArrivalProcess,

@@ -795,21 +795,18 @@ pub fn is_policy(name: &str) -> bool {
 /// trigger, variance threshold). Returns `None` for unknown names.
 pub fn make_policy(name: &str, cfg: &RunConfig) -> Option<Box<dyn SchedulingPolicy>> {
     Some(match name {
-        "heft" => Box::new(PlannedPolicy::static_heft(cfg)),
-        "aheft" => Box::new(PlannedPolicy::adaptive(cfg)),
-        "aheft-noinsert" => Box::new(PlannedPolicy::adaptive(&RunConfig {
-            aheft: AheftConfig { slot_policy: SlotPolicy::EndOfQueue, ..cfg.aheft },
-            ..*cfg
-        })),
-        "aheft-pin" => Box::new(PlannedPolicy::adaptive(&RunConfig {
-            aheft: AheftConfig { reschedulable: ReschedulableSet::NotStarted, ..cfg.aheft },
-            ..*cfg
-        })),
         "minmin" => Box::new(JitPolicy::heuristic(DynamicHeuristic::MinMin)),
         "maxmin" => Box::new(JitPolicy::heuristic(DynamicHeuristic::MaxMin)),
         "sufferage" => Box::new(JitPolicy::heuristic(DynamicHeuristic::Sufferage)),
         "ranked-jit" => Box::new(JitPolicy::rank_ordered()),
-        _ => return None,
+        _ => {
+            let cfg = RunConfig { aheft: planning_config(name, cfg)?, ..*cfg };
+            if name == "heft" {
+                Box::new(PlannedPolicy::static_heft(&cfg))
+            } else {
+                Box::new(PlannedPolicy::adaptive(&cfg))
+            }
+        }
     })
 }
 
@@ -830,7 +827,11 @@ pub fn planning_config(name: &str, cfg: &RunConfig) -> Option<AheftConfig> {
 }
 
 /// Execute `dag` under the named policy: [`make_policy`] +
-/// [`run_policy`]. Returns `None` for unknown names.
+/// [`run_policy`].
+///
+/// # Panics
+/// Panics if `name` is not in [`POLICY_NAMES`]; callers taking names from
+/// outside the program check [`is_policy`] first.
 #[allow(clippy::too_many_arguments)]
 pub fn run_named_policy(
     name: &str,
@@ -840,9 +841,9 @@ pub fn run_named_policy(
     dynamics: &aheft_gridsim::pool::PoolDynamics,
     seed: u64,
     cfg: &RunConfig,
-) -> Option<RunReport> {
-    let mut policy = make_policy(name, cfg)?;
-    Some(run_policy(dag, costs, costgen, dynamics, seed, cfg, policy.as_mut()))
+) -> RunReport {
+    let mut policy = make_policy(name, cfg).unwrap_or_else(|| panic!("unknown policy '{name}'"));
+    run_policy(dag, costs, costgen, dynamics, seed, cfg, policy.as_mut())
 }
 
 #[cfg(test)]
@@ -869,33 +870,27 @@ mod tests {
 
     #[test]
     fn named_policies_match_their_wrapper_entry_points() {
+        // The registry must build exactly the policies the constructors do:
+        // callers that hold a policy value (a decorator around it, say) rely
+        // on `run_policy` over a constructor reproducing the named run.
         let mut rng = StdRng::seed_from_u64(9);
         let p = RandomDagParams { jobs: 30, ..RandomDagParams::paper_default() };
         let wf = generate(&p, &mut rng);
         let costs = wf.sample_table(4, &mut rng);
         let dynamics = PoolDynamics::periodic_growth(4, 250.0, 0.25);
         let cfg = RunConfig::default();
-        let pairs: [(&str, RunReport); 3] = [
-            ("heft", crate::runner::run_static_heft(&wf.dag, &costs, &wf.costgen, &dynamics, 3)),
-            ("aheft", crate::runner::run_aheft(&wf.dag, &costs, &wf.costgen, &dynamics, 3)),
-            (
-                "minmin",
-                crate::runner::run_dynamic(
-                    &wf.dag,
-                    &costs,
-                    &wf.costgen,
-                    &dynamics,
-                    3,
-                    DynamicHeuristic::MinMin,
-                ),
-            ),
+        let constructed: [(&str, Box<dyn SchedulingPolicy>); 3] = [
+            ("heft", Box::new(PlannedPolicy::static_heft(&cfg))),
+            ("aheft", Box::new(PlannedPolicy::adaptive(&cfg))),
+            ("minmin", Box::new(JitPolicy::heuristic(DynamicHeuristic::MinMin))),
         ];
-        for (name, wrapper) in pairs {
-            let named = run_named_policy(name, &wf.dag, &costs, &wf.costgen, &dynamics, 3, &cfg)
-                .expect("registered");
-            assert_eq!(named.makespan.to_bits(), wrapper.makespan.to_bits(), "{name}");
-            assert_eq!(named.events_processed, wrapper.events_processed, "{name}");
-            assert_eq!(named.reschedules, wrapper.reschedules, "{name}");
+        for (name, mut policy) in constructed {
+            let direct =
+                run_policy(&wf.dag, &costs, &wf.costgen, &dynamics, 3, &cfg, policy.as_mut());
+            let named = run_named_policy(name, &wf.dag, &costs, &wf.costgen, &dynamics, 3, &cfg);
+            assert_eq!(named.makespan.to_bits(), direct.makespan.to_bits(), "{name}");
+            assert_eq!(named.events_processed, direct.events_processed, "{name}");
+            assert_eq!(named.reschedules, direct.reschedules, "{name}");
         }
     }
 
@@ -907,8 +902,7 @@ mod tests {
         let dynamics = PoolDynamics::periodic_growth(3, 15.0, 1.0 / 3.0).with_cap(5);
         let cfg = RunConfig::default();
         for name in POLICY_NAMES {
-            let r = run_named_policy(name, &dag, &costs, &costgen, &dynamics, 1, &cfg)
-                .expect("registered");
+            let r = run_named_policy(name, &dag, &costs, &costgen, &dynamics, 1, &cfg);
             assert!(r.makespan > 0.0, "{name} must finish the workflow");
             assert_eq!(r.final_pool_size, 5, "{name} saw the grown pool");
         }
@@ -922,13 +916,11 @@ mod tests {
         let costs = wf.sample_table(6, &mut rng);
         let dynamics = PoolDynamics::fixed(6);
         let cfg = RunConfig::default();
-        let a = run_named_policy("ranked-jit", &wf.dag, &costs, &wf.costgen, &dynamics, 5, &cfg)
-            .unwrap();
-        let b = run_named_policy("ranked-jit", &wf.dag, &costs, &wf.costgen, &dynamics, 5, &cfg)
-            .unwrap();
+        let run = |name| run_named_policy(name, &wf.dag, &costs, &wf.costgen, &dynamics, 5, &cfg);
+        let a = run("ranked-jit");
+        let b = run("ranked-jit");
         assert_eq!(a.makespan.to_bits(), b.makespan.to_bits(), "not reproducible");
-        let m =
-            run_named_policy("minmin", &wf.dag, &costs, &wf.costgen, &dynamics, 5, &cfg).unwrap();
+        let m = run("minmin");
         // Both complete; the orderings genuinely differ on a 50-job DAG.
         assert!(m.makespan > 0.0);
         assert_ne!(a.makespan.to_bits(), m.makespan.to_bits(), "hybrid should differ");
@@ -938,7 +930,7 @@ mod tests {
     fn plan_queues_adopt_matches_resource_queues() {
         let dag = sample::fig4_dag();
         let costs = sample::fig4_costs_initial();
-        let schedule = crate::heft::heft_schedule(&dag, &costs, &Default::default());
+        let schedule = crate::heft::heft_schedule(&dag, &costs, SlotPolicy::Insertion);
         let mut q = PlanQueues::new();
         q.adopt(&schedule, 3);
         let reference = schedule.resource_queues(3);

@@ -8,20 +8,21 @@
 //! discipline — and delegates every strategy decision to a pluggable
 //! [`SchedulingPolicy`] (see [`crate::policy`]).
 //!
-//! The paper's §4 comparison strategies are thin wrappers over concrete
-//! policies:
+//! Strategies are run by name through
+//! [`crate::policy::run_named_policy`]; the paper's §4 comparison
+//! strategies are three of its registered policies:
 //!
-//! * [`run_static_heft`] — [`crate::policy::PlannedPolicy::static_heft`]:
-//!   one full HEFT plan at `t = 0`, executed as-is; new resources are
-//!   ignored ("the static scheduling approach can not utilize new
-//!   resources after the plan is made", §3.1).
-//! * [`run_aheft`] — [`crate::policy::PlannedPolicy::adaptive`]: the same
+//! * `heft` — [`crate::policy::PlannedPolicy::static_heft`]: one full HEFT
+//!   plan at `t = 0`, executed as-is; new resources are ignored ("the
+//!   static scheduling approach can not utilize new resources after the
+//!   plan is made", §3.1).
+//! * `aheft` — [`crate::policy::PlannedPolicy::adaptive`]: the same
 //!   initial plan, but the Planner listens for resource-pool-change
 //!   events, re-runs AHEFT over the execution snapshot and replaces the
 //!   plan whenever the predicted makespan improves (Fig. 2).
-//! * [`run_dynamic`] — [`crate::policy::JitPolicy`]: local just-in-time
-//!   decisions (Min-Min by default); jobs are mapped only when ready and
-//!   input transfers start only after mapping (§4.1 assumption 2).
+//! * `minmin` — [`crate::policy::JitPolicy`]: local just-in-time
+//!   decisions; jobs are mapped only when ready and input transfers start
+//!   only after mapping (§4.1 assumption 2).
 //!
 //! Because the fabric is shared, *any* two policies run against the same
 //! seed see byte-identical grids (the RNG is consumed only by
@@ -44,9 +45,8 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::aheft::AheftConfig;
-use crate::minmin::DynamicHeuristic;
 use crate::planner::ReschedulePolicy;
-use crate::policy::{JitPolicy, PlannedPolicy, PolicyEvent, SchedulingPolicy};
+use crate::policy::{PolicyEvent, SchedulingPolicy};
 use crate::recovery::{backoff_delay, checkpoint_credit, RecoveryPolicy};
 
 /// Stream tag of the dedicated fault RNG (see [`derive_stream`]): fault
@@ -752,93 +752,10 @@ pub fn run_policy(
     sim.report(initial_predicted, stats.evaluations, stats.reschedules)
 }
 
-// ---------------------------------------------------------------------------
-// Public entry points (wrappers over concrete policies)
-// ---------------------------------------------------------------------------
-
-/// Execute `dag` with traditional static HEFT under `dynamics`.
-///
-/// `costs` must have exactly `dynamics.initial` columns; `seed` drives the
-/// cost columns of late-arriving resources.
-pub fn run_static_heft(
-    dag: &Dag,
-    costs: &CostTable,
-    costgen: &CostGenerator,
-    dynamics: &PoolDynamics,
-    seed: u64,
-) -> RunReport {
-    run_static_heft_with(dag, costs, costgen, dynamics, seed, &RunConfig::default())
-}
-
-/// As [`run_static_heft`] with an explicit configuration (slot policy,
-/// actual-runtime model, tracing).
-pub fn run_static_heft_with(
-    dag: &Dag,
-    costs: &CostTable,
-    costgen: &CostGenerator,
-    dynamics: &PoolDynamics,
-    seed: u64,
-    cfg: &RunConfig,
-) -> RunReport {
-    let mut policy = PlannedPolicy::static_heft(cfg);
-    run_policy(dag, costs, costgen, dynamics, seed, cfg, &mut policy)
-}
-
-/// Execute `dag` with the paper's adaptive rescheduling strategy (AHEFT).
-pub fn run_aheft(
-    dag: &Dag,
-    costs: &CostTable,
-    costgen: &CostGenerator,
-    dynamics: &PoolDynamics,
-    seed: u64,
-) -> RunReport {
-    run_aheft_with(dag, costs, costgen, dynamics, seed, &RunConfig::default())
-}
-
-/// As [`run_aheft`] with an explicit configuration.
-pub fn run_aheft_with(
-    dag: &Dag,
-    costs: &CostTable,
-    costgen: &CostGenerator,
-    dynamics: &PoolDynamics,
-    seed: u64,
-    cfg: &RunConfig,
-) -> RunReport {
-    let mut policy = PlannedPolicy::adaptive(cfg);
-    run_policy(dag, costs, costgen, dynamics, seed, cfg, &mut policy)
-}
-
-/// Execute `dag` with a dynamic just-in-time strategy.
-pub fn run_dynamic(
-    dag: &Dag,
-    costs: &CostTable,
-    costgen: &CostGenerator,
-    dynamics: &PoolDynamics,
-    seed: u64,
-    heuristic: DynamicHeuristic,
-) -> RunReport {
-    run_dynamic_with(dag, costs, costgen, dynamics, seed, &RunConfig::default(), heuristic)
-}
-
-/// As [`run_dynamic`] with an explicit configuration.
-#[allow(clippy::too_many_arguments)]
-pub fn run_dynamic_with(
-    dag: &Dag,
-    costs: &CostTable,
-    costgen: &CostGenerator,
-    dynamics: &PoolDynamics,
-    seed: u64,
-    cfg: &RunConfig,
-    heuristic: DynamicHeuristic,
-) -> RunReport {
-    let mut policy = JitPolicy::heuristic(heuristic);
-    run_policy(dag, costs, costgen, dynamics, seed, cfg, &mut policy)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aheft::ReschedulableSet;
+    use crate::policy::run_named_policy;
     use aheft_gridsim::trace::TraceEvent;
     use aheft_workflow::generators::random::{generate, RandomDagParams};
     use aheft_workflow::sample;
@@ -856,7 +773,9 @@ mod tests {
     #[test]
     fn static_run_reproduces_planned_makespan() {
         let (dag, costs, costgen) = fig4_setup();
-        let report = run_static_heft(&dag, &costs, &costgen, &PoolDynamics::fixed(3), 1);
+        let cfg = RunConfig::default();
+        let report =
+            run_named_policy("heft", &dag, &costs, &costgen, &PoolDynamics::fixed(3), 1, &cfg);
         assert!((report.makespan - 80.0).abs() < 1e-9, "makespan {}", report.makespan);
         assert!((report.makespan - report.initial_predicted).abs() < 1e-9);
         assert_eq!(report.reschedules, 0);
@@ -866,7 +785,8 @@ mod tests {
     fn static_run_ignores_new_resources() {
         let (dag, costs, costgen) = fig4_setup();
         let dynamics = PoolDynamics::periodic_growth(3, 15.0, 0.34);
-        let report = run_static_heft(&dag, &costs, &costgen, &dynamics, 1);
+        let report =
+            run_named_policy("heft", &dag, &costs, &costgen, &dynamics, 1, &RunConfig::default());
         assert!((report.makespan - 80.0).abs() < 1e-9);
         assert!(report.final_pool_size > 3);
     }
@@ -883,18 +803,13 @@ mod tests {
         // planner evaluates the event and keeps the better plan.
         let (dag, costs, costgen) = fig4_setup();
         let dynamics = PoolDynamics::periodic_growth(3, 15.0, 1.0 / 3.0).with_cap(4);
-        let report = run_aheft(&dag, &costs, &costgen, &dynamics, 1);
+        let cfg = RunConfig::default();
+        let run = |name| run_named_policy(name, &dag, &costs, &costgen, &dynamics, 1, &cfg);
+        let report = run("aheft");
         assert_eq!(report.evaluations, 1);
         assert!(report.makespan <= 80.0 + 1e-9, "never worse than HEFT, got {}", report.makespan);
         // Pinning running jobs evaluates a candidate of exactly 80.
-        let cfg = RunConfig {
-            aheft: AheftConfig {
-                reschedulable: ReschedulableSet::NotStarted,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let pinned = run_aheft_with(&dag, &costs, &costgen, &dynamics, 1, &cfg);
+        let pinned = run("aheft-pin");
         assert!((pinned.makespan - 80.0).abs() < 1e-9);
     }
 
@@ -911,9 +826,11 @@ mod tests {
         let costs = CostTable::from_dag_comm(&dag, &vec![vec![100.0, 100.0]; 16], 1.0).unwrap();
         let costgen = CostGenerator::new(vec![100.0; 16], 0.0).unwrap();
         let dynamics = PoolDynamics::periodic_growth(2, 100.0, 1.0).with_cap(4);
-        let h = run_static_heft(&dag, &costs, &costgen, &dynamics, 1);
+        let cfg = RunConfig::default();
+        let run = |name| run_named_policy(name, &dag, &costs, &costgen, &dynamics, 1, &cfg);
+        let h = run("heft");
         assert!((h.makespan - 800.0).abs() < 1e-9);
-        let a = run_aheft(&dag, &costs, &costgen, &dynamics, 1);
+        let a = run("aheft");
         assert!(a.reschedules >= 1);
         // 2 jobs done by t=100; 14 remain over 4 resources, two of which
         // are mid-job: finish = 100 + 4 rounds of 100 on the new resources
@@ -924,13 +841,16 @@ mod tests {
     #[test]
     fn aheft_never_worse_than_static_exact() {
         let mut rng = StdRng::seed_from_u64(1234);
+        let cfg = RunConfig::default();
         for case in 0..20u64 {
             let p = RandomDagParams { jobs: 30, ..RandomDagParams::paper_default() };
             let wf = generate(&p, &mut rng);
             let costs = wf.sample_table(5, &mut rng);
             let dynamics = PoolDynamics::periodic_growth(5, 300.0, 0.2);
-            let h = run_static_heft(&wf.dag, &costs, &wf.costgen, &dynamics, case);
-            let a = run_aheft(&wf.dag, &costs, &wf.costgen, &dynamics, case);
+            let run =
+                |name| run_named_policy(name, &wf.dag, &costs, &wf.costgen, &dynamics, case, &cfg);
+            let h = run("heft");
+            let a = run("aheft");
             assert!(
                 a.makespan <= h.makespan + 1e-6,
                 "case {case}: AHEFT {} vs HEFT {}",
@@ -946,13 +866,15 @@ mod tests {
         let p = RandomDagParams { jobs: 40, ..RandomDagParams::paper_default() };
         let wf = generate(&p, &mut rng);
         let costs = wf.sample_table(6, &mut rng);
-        let report = run_dynamic(
+        let cfg = RunConfig::default();
+        let report = run_named_policy(
+            "minmin",
             &wf.dag,
             &costs,
             &wf.costgen,
             &PoolDynamics::fixed(6),
             9,
-            DynamicHeuristic::MinMin,
+            &cfg,
         );
         assert!(report.makespan > 0.0);
         assert_eq!(report.reschedules, 0);
@@ -967,8 +889,10 @@ mod tests {
         let wf = generate(&p, &mut rng);
         let costs = wf.sample_table(8, &mut rng);
         let fixed = PoolDynamics::fixed(8);
-        let h = run_static_heft(&wf.dag, &costs, &wf.costgen, &fixed, 3);
-        let m = run_dynamic(&wf.dag, &costs, &wf.costgen, &fixed, 3, DynamicHeuristic::MinMin);
+        let cfg = RunConfig::default();
+        let run = |name| run_named_policy(name, &wf.dag, &costs, &wf.costgen, &fixed, 3, &cfg);
+        let h = run("heft");
+        let m = run("minmin");
         assert!(
             m.makespan > h.makespan,
             "Min-Min {} should lose to HEFT {}",
@@ -988,7 +912,7 @@ mod tests {
         let costgen = CostGenerator::new(vec![100.0; 16], 0.0).unwrap();
         let dynamics = PoolDynamics::periodic_growth(2, 100.0, 1.0).with_cap(4);
         let cfg = RunConfig { record_trace: true, ..Default::default() };
-        let report = run_aheft_with(&dag, &costs, &costgen, &dynamics, 1, &cfg);
+        let report = run_named_policy("aheft", &dag, &costs, &costgen, &dynamics, 1, &cfg);
         assert!(report.trace.reschedule_count() >= 1);
         let intervals = report.trace.completed_intervals();
         assert_eq!(intervals.len(), dag.job_count());
@@ -1008,10 +932,10 @@ mod tests {
             ..Default::default()
         };
         for seed in 0..5u64 {
-            let r = run_aheft_with(&dag, &costs, &costgen, &dynamics, seed, &cfg);
-            assert!(r.makespan > 0.0);
-            let s = run_static_heft_with(&dag, &costs, &costgen, &dynamics, seed, &cfg);
-            assert!(s.makespan > 0.0);
+            for name in ["aheft", "heft"] {
+                let r = run_named_policy(name, &dag, &costs, &costgen, &dynamics, seed, &cfg);
+                assert!(r.makespan > 0.0);
+            }
         }
     }
 
@@ -1024,7 +948,8 @@ mod tests {
             policy: ReschedulePolicy::OnAnyPlannerEvent,
             ..Default::default()
         };
-        let report = run_aheft_with(&dag, &costs, &costgen, &PoolDynamics::fixed(3), 7, &cfg);
+        let report =
+            run_named_policy("aheft", &dag, &costs, &costgen, &PoolDynamics::fixed(3), 7, &cfg);
         assert!(report.makespan > 0.0);
     }
 
@@ -1045,7 +970,7 @@ mod tests {
         };
         let mut late_failures = 0usize;
         for seed in 0..6u64 {
-            let r = run_aheft_with(&dag, &costs, &costgen, &dynamics, seed, &cfg);
+            let r = run_named_policy("aheft", &dag, &costs, &costgen, &dynamics, seed, &cfg);
             late_failures += r
                 .trace
                 .events()
@@ -1070,7 +995,15 @@ mod tests {
         let mut rejoins = 0usize;
         let mut downtime = 0.0f64;
         for seed in 0..6u64 {
-            let r = run_aheft_with(&dag, &costs, &costgen, &PoolDynamics::fixed(3), seed, &cfg);
+            let r = run_named_policy(
+                "aheft",
+                &dag,
+                &costs,
+                &costgen,
+                &PoolDynamics::fixed(3),
+                seed,
+                &cfg,
+            );
             assert_eq!(
                 r.unfinished_jobs, 0,
                 "transient outages must not strand jobs (seed {seed})"
@@ -1098,7 +1031,18 @@ mod tests {
             };
             let mut kills = 0usize;
             for seed in 0..4u64 {
-                let r = run_aheft_with(&dag, &costs, &costgen, &PoolDynamics::fixed(3), seed, &cfg);
+                let run = |policy| {
+                    run_named_policy(
+                        policy,
+                        &dag,
+                        &costs,
+                        &costgen,
+                        &PoolDynamics::fixed(3),
+                        seed,
+                        &cfg,
+                    )
+                };
+                let r = run("aheft");
                 assert_eq!(r.unfinished_jobs, 0, "{name}/seed{seed} stranded jobs");
                 kills += r.faults.fault_kills;
                 if r.faults.fault_kills > 0 {
@@ -1107,15 +1051,7 @@ mod tests {
                     assert!(r.faults.goodput < 1.0 + 1e-12);
                     assert!(r.faults.recovery_latency >= 0.0);
                 }
-                let d = run_dynamic_with(
-                    &dag,
-                    &costs,
-                    &costgen,
-                    &PoolDynamics::fixed(3),
-                    seed,
-                    &cfg,
-                    DynamicHeuristic::MinMin,
-                );
+                let d = run("minmin");
                 assert_eq!(d.unfinished_jobs, 0, "minmin/{name}/seed{seed} stranded jobs");
             }
             assert!(kills > 0, "{name}: prob 0.3 over 4 seeds must kill something");
@@ -1133,7 +1069,7 @@ mod tests {
             recovery: RecoveryPolicy::RetryBackoff { base: 1.0, cap: 8.0 },
             ..Default::default()
         };
-        let r = run_aheft_with(&dag, &costs, &costgen, &PoolDynamics::fixed(3), 3, &cfg);
+        let r = run_named_policy("aheft", &dag, &costs, &costgen, &PoolDynamics::fixed(3), 3, &cfg);
         assert_eq!(r.unfinished_jobs, 0);
         assert_eq!(r.faults.fault_kills, dag.job_count() * MAX_CRASHES_PER_JOB as usize);
         assert!(r.faults.goodput < 1.0);
@@ -1149,7 +1085,15 @@ mod tests {
         };
         let mut kills = 0usize;
         for seed in 0..6u64 {
-            let r = run_aheft_with(&dag, &costs, &costgen, &PoolDynamics::fixed(3), seed, &cfg);
+            let r = run_named_policy(
+                "aheft",
+                &dag,
+                &costs,
+                &costgen,
+                &PoolDynamics::fixed(3),
+                seed,
+                &cfg,
+            );
             assert_eq!(r.unfinished_jobs, 0, "seed {seed} stranded jobs");
             kills += r.faults.fault_kills;
         }
@@ -1166,7 +1110,15 @@ mod tests {
             RunConfig { failures: FailureModel::Exponential { mtbf: 5.0 }, ..Default::default() };
         let mut stranded = 0usize;
         for seed in 0..4u64 {
-            let r = run_aheft_with(&dag, &costs, &costgen, &PoolDynamics::fixed(3), seed, &cfg);
+            let r = run_named_policy(
+                "aheft",
+                &dag,
+                &costs,
+                &costgen,
+                &PoolDynamics::fixed(3),
+                seed,
+                &cfg,
+            );
             stranded += r.unfinished_jobs;
         }
         assert!(stranded > 0, "mtbf 5 across three resources must strand at least one run");

@@ -455,8 +455,7 @@ impl<'a> Service<'a> {
             &PoolDynamics::fixed(self.cfg.slice),
             sim_seed,
             &self.cfg.run,
-        )
-        .expect("policy name validated by run_service");
+        );
         let failed = report.unfinished_jobs > 0;
         self.memo[w] = Some(InnerRun { makespan: report.makespan, failed, report });
     }

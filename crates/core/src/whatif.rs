@@ -381,15 +381,8 @@ mod tests {
         let mut avail2 = snap.resource_avail.clone();
         avail2.push(snap.clock);
         let mut ws = ScheduleWorkspace::new();
-        let manual = crate::aheft::aheft_reschedule_with(
-            &dag,
-            &costs2,
-            snap.view_with_avail(&avail2),
-            &alive2,
-            &cfg,
-            &mut ws,
-        )
-        .predicted_makespan;
+        let view = snap.view_with_avail(&avail2);
+        let manual = aheft_schedule_into(&dag, &costs2, view, &alive2, &cfg, &mut ws);
         assert_eq!(report.hypothetical_makespan.to_bits(), manual.to_bits());
     }
 

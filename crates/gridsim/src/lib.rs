@@ -17,9 +17,8 @@
 //! * [`executor`] — the Execution Manager state machine: job lifecycle,
 //!   file ledger (completed and in-flight transfers), and the
 //!   [`executor::Snapshot`] the planner reschedules from,
-//! * [`predictor`] — Performance History Repository + Predictor (exact mode
-//!   for the paper's experiments; EWMA-smoothed mode for the variance
-//!   extension),
+//! * [`predictor`] — the actual-runtime model: exact, as the paper's
+//!   experiments assume, or noisy for the variance extension,
 //! * [`trace`] — execution traces and ASCII Gantt charts (paper Fig. 5),
 //! * [`fault`] — failure injection: permanent/transient resource failure
 //!   processes and job-level crash faults, on a dedicated RNG stream,

@@ -1,21 +1,11 @@
-//! Performance estimation: the Predictor and Performance History Repository
-//! of the paper's Fig. 1.
+//! Performance estimation: the Predictor of the paper's Fig. 1.
 //!
 //! The paper's experiments assume *accurate* estimation (§4.1 assumption 1):
-//! a job's actual runtime equals its estimated cost `w[i][j]`. That is
-//! [`ActualModel::Exact`]. The substrate also implements the architecture's
-//! feedback loop for the performance-variance extension: a noisy actual
-//! model perturbs runtimes, the [`PerfHistory`] repository records observed
-//! runtimes per (operation class, resource), and [`Predictor`] blends the
-//! static estimate with the observed history (exponentially weighted moving
-//! average), improving "estimation accuracy in the subsequent planning"
-//! (paper §3.3).
+//! a job's actual runtime equals its estimated cost `w[i][j]`, so the
+//! Predictor returns the cost table as-is. That is [`ActualModel::Exact`];
+//! [`ActualModel::Noisy`] perturbs actual runtimes for the
+//! performance-variance extension.
 
-// analyzer::allow(nondeterministic-iteration): history records are read by
-// exact key (`get`/`entry`); no code path iterates the map.
-use std::collections::HashMap;
-
-use aheft_workflow::{CostTable, Dag, JobId, OpClass, ResourceId};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -48,166 +38,11 @@ impl ActualModel {
     }
 }
 
-/// Exponentially weighted moving average of observed values.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Ewma {
-    mean: f64,
-    alpha: f64,
-    samples: u64,
-}
-
-impl Ewma {
-    /// New EWMA with smoothing factor `alpha ∈ (0, 1]` (weight of the newest
-    /// sample).
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        Self { mean: 0.0, alpha, samples: 0 }
-    }
-
-    /// Record one observation.
-    pub fn observe(&mut self, x: f64) {
-        if self.samples == 0 {
-            self.mean = x;
-        } else {
-            self.mean = self.alpha * x + (1.0 - self.alpha) * self.mean;
-        }
-        self.samples += 1;
-    }
-
-    /// Current smoothed mean, or `None` before any observation.
-    pub fn mean(&self) -> Option<f64> {
-        (self.samples > 0).then_some(self.mean)
-    }
-
-    /// Number of samples seen.
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
-}
-
-/// Key of a history record: the paper observes that scientific workflows
-/// have few unique operations (§4.3), so history is shared by operation
-/// class when available and falls back to per-job records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-enum HistKey {
-    Class(OpClass, ResourceId),
-    Job(JobId, ResourceId),
-}
-
-/// Performance History Repository: observed runtime ratios
-/// (actual / estimated) per operation class and resource.
-#[derive(Debug, Clone, Default)]
-pub struct PerfHistory {
-    /// Keyed lookups only ([`PerfHistory::observe`]/[`PerfHistory::ratio`]);
-    /// iteration order could only surface if a future reporting path walked
-    /// the map — such a path must sort keys first.
-    // analyzer::allow(nondeterministic-iteration): membership/lookup-only map.
-    records: HashMap<HistKey, Ewma>,
-    alpha: f64,
-}
-
-impl PerfHistory {
-    /// New repository with EWMA smoothing `alpha` (0.3 is a reasonable
-    /// default: responsive but not jumpy).
-    pub fn new(alpha: f64) -> Self {
-        // analyzer::allow(nondeterministic-iteration): constructor of the lookup-only map above.
-        Self { records: HashMap::new(), alpha }
-    }
-
-    fn key(dag: &Dag, job: JobId, r: ResourceId) -> HistKey {
-        let op = dag.job(job).op;
-        if op == OpClass::UNIQUE {
-            HistKey::Job(job, r)
-        } else {
-            HistKey::Class(op, r)
-        }
-    }
-
-    /// Record an observed runtime for `job` on `r` against its estimate.
-    pub fn observe(&mut self, dag: &Dag, job: JobId, r: ResourceId, estimate: f64, actual: f64) {
-        if estimate <= 0.0 {
-            return;
-        }
-        let alpha = self.alpha;
-        self.records
-            .entry(Self::key(dag, job, r))
-            .or_insert_with(|| Ewma::new(alpha))
-            .observe(actual / estimate);
-    }
-
-    /// Observed actual/estimate ratio for `job` on `r`, if any history
-    /// exists.
-    pub fn ratio(&self, dag: &Dag, job: JobId, r: ResourceId) -> Option<f64> {
-        self.records.get(&Self::key(dag, job, r)).and_then(|e| e.mean())
-    }
-
-    /// Number of distinct (class/job, resource) records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True when no history was recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-}
-
-/// The Predictor of the paper's Fig. 1: produces the performance estimation
-/// matrix `P` from the base cost table, corrected by observed history.
-#[derive(Debug, Clone)]
-pub struct Predictor {
-    history: PerfHistory,
-}
-
-impl Predictor {
-    /// Predictor with no history (estimates = base costs; the paper's
-    /// experimental setting).
-    pub fn exact() -> Self {
-        Self { history: PerfHistory::new(0.3) }
-    }
-
-    /// Predictor that applies history smoothing with factor `alpha`.
-    pub fn with_history(alpha: f64) -> Self {
-        Self { history: PerfHistory::new(alpha) }
-    }
-
-    /// Record an observation (called by the Performance Monitor on each job
-    /// completion).
-    pub fn observe(&mut self, dag: &Dag, job: JobId, r: ResourceId, estimate: f64, actual: f64) {
-        self.history.observe(dag, job, r, estimate, actual);
-    }
-
-    /// Estimate `w[i][j]`, corrected by the observed actual/estimate ratio
-    /// when history exists (the "increasingly accurate estimations" of
-    /// §3.1).
-    pub fn estimate(&self, dag: &Dag, costs: &CostTable, job: JobId, r: ResourceId) -> f64 {
-        let base = costs.comp(job, r);
-        match self.history.ratio(dag, job, r) {
-            Some(ratio) => base * ratio,
-            None => base,
-        }
-    }
-
-    /// Access the underlying history repository.
-    pub fn history(&self) -> &PerfHistory {
-        &self.history
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aheft_workflow::{CostTable, DagBuilder};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    fn one_job() -> (Dag, CostTable) {
-        let mut b = DagBuilder::new();
-        b.add_job("a");
-        let dag = b.build().unwrap();
-        let costs = CostTable::from_dag_comm(&dag, &[vec![100.0]], 1.0).unwrap();
-        (dag, costs)
-    }
 
     #[test]
     fn exact_model_is_identity() {
@@ -223,45 +58,5 @@ mod tests {
             let a = m.actual(100.0, &mut rng);
             assert!((70.0..130.0).contains(&a));
         }
-    }
-
-    #[test]
-    fn ewma_converges_to_constant() {
-        let mut e = Ewma::new(0.5);
-        assert_eq!(e.mean(), None);
-        for _ in 0..20 {
-            e.observe(2.0);
-        }
-        assert!((e.mean().unwrap() - 2.0).abs() < 1e-9);
-        assert_eq!(e.samples(), 20);
-    }
-
-    #[test]
-    fn predictor_without_history_returns_base() {
-        let (dag, costs) = one_job();
-        let p = Predictor::exact();
-        assert_eq!(p.estimate(&dag, &costs, JobId(0), ResourceId(0)), 100.0);
-    }
-
-    #[test]
-    fn predictor_applies_observed_ratio() {
-        let (dag, costs) = one_job();
-        let mut p = Predictor::with_history(1.0); // last sample wins
-        p.observe(&dag, JobId(0), ResourceId(0), 100.0, 150.0);
-        assert!((p.estimate(&dag, &costs, JobId(0), ResourceId(0)) - 150.0).abs() < 1e-9);
-        assert_eq!(p.history().len(), 1);
-    }
-
-    #[test]
-    fn history_shared_per_op_class() {
-        // Two jobs of the same class on one resource share one record.
-        let mut b = DagBuilder::new();
-        b.add_job_with_class("x1", OpClass(7));
-        b.add_job_with_class("x2", OpClass(7));
-        let dag = b.build().unwrap();
-        let mut h = PerfHistory::new(1.0);
-        h.observe(&dag, JobId(0), ResourceId(0), 100.0, 120.0);
-        assert_eq!(h.ratio(&dag, JobId(1), ResourceId(0)), Some(1.2));
-        assert_eq!(h.len(), 1);
     }
 }

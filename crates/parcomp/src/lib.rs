@@ -1,33 +1,27 @@
 //! # aheft-parcomp
 //!
-//! Minimal parallel-computation utilities for the experiment harness. The
-//! paper's evaluation runs 500,000 simulation cases; [`par_map`] spreads
-//! such embarrassingly parallel sweeps over OS threads with a shared
-//! work-stealing-style index counter (`std::thread::scope` + atomics),
-//! [`par_map_chunked`] adds an explicit chunk size and a progress callback
-//! for long sweeps, and [`par_map_reduce`] folds results without
-//! collecting intermediates.
+//! Minimal parallel-computation utilities. The paper's evaluation runs
+//! 500,000 simulation cases; [`par_map_chunked`] spreads such
+//! embarrassingly parallel sweeps over OS threads with a shared index
+//! counter (`std::thread::scope` + atomics), an explicit chunk size and a
+//! progress callback for long sweeps. The experiment sweep driver and the
+//! query daemon's cache-miss fan-out both call it.
 //!
 //! Design notes (per the repo's HPC guides):
 //! * results are written into pre-allocated slots, so output order equals
 //!   input order and the parallel run is bit-identical to the sequential
 //!   one (each case carries its own RNG seed);
-//! * chunked index claiming (`CHUNK` items per atomic fetch) keeps
+//! * chunked index claiming (`chunk` items per atomic fetch) keeps
 //!   contention negligible for micro-tasks;
+//! * with one thread or at most one item, the items run inline on the
+//!   calling thread and no thread is spawned;
 //! * no unsafe code and no external dependencies: workers send
 //!   `(index, value)` pairs over an `mpsc` channel and the caller scatters
 //!   them into the pre-sized output.
 
 #![warn(missing_docs)]
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
-
-/// Number of indices claimed per atomic increment. Large enough to amortize
-/// the fetch, small enough to balance uneven case costs (simulation cases
-/// vary by ~100x between v=20 and v=1000 DAGs).
-const CHUNK: usize = 8;
 
 /// Progress observer for [`par_map_chunked`]: called from worker threads
 /// after each completed chunk with `(items_done, items_total)`.
@@ -38,30 +32,11 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Apply `f` to every element of `items` in parallel on `threads` threads,
-/// preserving order. Falls back to a sequential loop for `threads <= 1` or
-/// tiny inputs.
-///
-/// `f` must be `Sync` (shared by threads) and is called exactly once per
-/// item.
-///
-/// ```
-/// let squares = aheft_parcomp::par_map(&[1u64, 2, 3, 4], 2, |x| x * x);
-/// assert_eq!(squares, vec![1, 4, 9, 16]); // output order == input order
-/// ```
-pub fn par_map<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    par_map_chunked(items, threads, CHUNK, None, f)
-}
-
-/// Ordered chunked variant of [`par_map`]: workers claim `chunk` indices
-/// per atomic fetch and report completion through an optional `progress`
-/// callback — the sweep driver uses it to print live case counts on
-/// multi-minute runs.
+/// Apply `f` to every element of `items` on `threads` threads, preserving
+/// order: workers claim `chunk` indices per atomic fetch and report
+/// completion through an optional `progress` callback — the sweep driver
+/// uses it to print live case counts on multi-minute runs. With
+/// `threads <= 1` or at most one item, `f` runs inline on the caller.
 ///
 /// Output order equals input order regardless of which thread computed
 /// which element, so a parallel sweep is bit-identical to the sequential
@@ -154,210 +129,9 @@ where
     out.into_iter().map(|v| v.expect("every index produced")).collect()
 }
 
-/// Shared driver/worker state of one [`pool_scope`] pool: a generation
-/// counter announces new work, `remaining` counts workers still running the
-/// current generation, and `shutdown` releases the workers when the driver
-/// returns (or unwinds).
-struct PoolState {
-    generation: u64,
-    lo: usize,
-    hi: usize,
-    remaining: usize,
-    shutdown: bool,
-}
-
-/// Handle to a [`pool_scope`] worker pool, passed to the driver closure.
-///
-/// Each [`DispatchPool::dispatch`] call runs the pool's body once per worker
-/// over a deterministic contiguous partition of the index range (see
-/// [`worker_slice`]) and blocks until every worker finished. With
-/// `threads <= 1` no threads exist and the body runs inline on the caller,
-/// so a 1-thread pool is exactly the sequential loop.
-pub struct DispatchPool<'a> {
-    threads: usize,
-    body: &'a (dyn Fn(usize, Range<usize>) + Sync),
-    state: &'a Mutex<PoolState>,
-    work: &'a Condvar,
-    done: &'a Condvar,
-}
-
-impl DispatchPool<'_> {
-    /// Number of workers (1 means inline execution, no threads).
-    #[inline]
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Run the pool body over `range`, split into per-worker contiguous
-    /// slices, and block until all workers are done. Deterministic: worker
-    /// `w` always receives `worker_slice(w, threads, range)`, so any
-    /// per-worker outputs can be reduced in worker order for a result
-    /// independent of execution interleaving.
-    pub fn dispatch(&self, range: Range<usize>) {
-        if self.threads <= 1 {
-            (self.body)(0, range);
-            return;
-        }
-        let mut st = self.state.lock().expect("pool mutex poisoned");
-        st.generation += 1;
-        st.lo = range.start;
-        st.hi = range.end;
-        st.remaining = self.threads;
-        self.work.notify_all();
-        while st.remaining > 0 {
-            st = self.done.wait(st).expect("pool mutex poisoned");
-        }
-    }
-}
-
-/// The contiguous sub-range of `range` that worker `w` of `threads` covers
-/// under [`DispatchPool::dispatch`]: ranges partition the input in order
-/// (worker 0 gets the lowest indices), sizes differ by at most one.
-pub fn worker_slice(w: usize, threads: usize, range: Range<usize>) -> Range<usize> {
-    let n = range.end.saturating_sub(range.start);
-    let base = n / threads;
-    let rem = n % threads;
-    let start = range.start + w * base + w.min(rem);
-    let len = base + usize::from(w < rem);
-    start..start + len
-}
-
-/// Sets `shutdown` and wakes the workers even if the driver unwinds, so a
-/// panicking driver cannot deadlock the scope join on parked workers.
-struct PoolShutdown<'a> {
-    state: &'a Mutex<PoolState>,
-    work: &'a Condvar,
-}
-
-impl Drop for PoolShutdown<'_> {
-    fn drop(&mut self) {
-        if let Ok(mut st) = self.state.lock() {
-            st.shutdown = true;
-        }
-        self.work.notify_all();
-    }
-}
-
-/// Run `driver` with a pool of `threads` persistent scoped workers all
-/// executing `body(worker_index, index_range)` on demand.
-///
-/// Unlike [`par_map`] — which spawns fresh threads per call — a
-/// `pool_scope` pool amortizes thread spawning over many *small* dispatches:
-/// the intra-pass schedulers dispatch once per DAG level or once per job,
-/// thousands of times per pass, where per-dispatch thread spawning would
-/// cost more than the work itself. Workers park on a condvar between
-/// dispatches.
-///
-/// `body` must be deterministic per `(worker, range)` for the usual
-/// bit-reproducibility discipline: dispatch partitions are deterministic
-/// ([`worker_slice`]), so writing per-worker results into per-worker slots
-/// and reducing them in worker order makes the parallel result independent
-/// of thread interleaving.
-pub fn pool_scope<B, D, R>(threads: usize, body: B, driver: D) -> R
-where
-    B: Fn(usize, Range<usize>) + Sync,
-    D: FnOnce(&DispatchPool<'_>) -> R,
-{
-    let threads = threads.max(1);
-    let state =
-        Mutex::new(PoolState { generation: 0, lo: 0, hi: 0, remaining: 0, shutdown: false });
-    let work = Condvar::new();
-    let done = Condvar::new();
-    let pool = DispatchPool { threads, body: &body, state: &state, work: &work, done: &done };
-    if threads == 1 {
-        return driver(&pool);
-    }
-    std::thread::scope(|s| {
-        for w in 0..threads {
-            let pool = &pool;
-            s.spawn(move || {
-                let mut seen = 0u64;
-                loop {
-                    let (generation, lo, hi) = {
-                        let mut st = pool.state.lock().expect("pool mutex poisoned");
-                        while st.generation == seen && !st.shutdown {
-                            st = pool.work.wait(st).expect("pool mutex poisoned");
-                        }
-                        if st.generation == seen {
-                            return; // shutdown, no unclaimed generation
-                        }
-                        (st.generation, st.lo, st.hi)
-                    };
-                    seen = generation;
-                    (pool.body)(w, worker_slice(w, pool.threads, lo..hi));
-                    let mut st = pool.state.lock().expect("pool mutex poisoned");
-                    st.remaining -= 1;
-                    if st.remaining == 0 {
-                        pool.done.notify_all();
-                    }
-                }
-            });
-        }
-        let _shutdown = PoolShutdown { state: &state, work: &work };
-        driver(&pool)
-    })
-}
-
-/// Parallel map-reduce: apply `map` to each item and fold the results with
-/// `reduce` (associative, commutative) starting from `identity` per thread.
-/// Reduction order is unspecified, so `reduce` must be order-insensitive
-/// (e.g. merging streaming-statistics accumulators or summing).
-pub fn par_map_reduce<T, A, F, G>(items: &[T], threads: usize, identity: A, map: F, reduce: G) -> A
-where
-    T: Sync,
-    A: Send + Clone,
-    F: Fn(&T) -> A + Sync,
-    G: Fn(A, A) -> A + Sync + Send,
-{
-    let n = items.len();
-    if threads <= 1 || n <= 1 {
-        return items.iter().map(&map).fold(identity, &reduce);
-    }
-    let threads = threads.min(n);
-    let next = AtomicUsize::new(0);
-
-    let partials: Vec<A> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next = &next;
-                let map = &map;
-                let reduce = &reduce;
-                let acc0 = identity.clone();
-                s.spawn(move || {
-                    let mut acc = acc0;
-                    loop {
-                        let start = next.fetch_add(CHUNK, Ordering::Relaxed);
-                        if start >= n {
-                            break;
-                        }
-                        let end = (start + CHUNK).min(n);
-                        for item in &items[start..end] {
-                            acc = reduce(acc, map(item));
-                        }
-                    }
-                    acc
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-    });
-
-    partials.into_iter().fold(identity, reduce)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn par_map_matches_sequential() {
-        let items: Vec<u64> = (0..1000).collect();
-        let seq: Vec<u64> = items.iter().map(|x| x * x).collect();
-        for threads in [1, 2, 4, 8] {
-            let par = par_map(&items, threads, |x| x * x);
-            assert_eq!(par, seq, "threads = {threads}");
-        }
-    }
 
     #[test]
     fn par_map_preserves_order_with_uneven_work() {
@@ -371,7 +145,7 @@ mod tests {
             }
             (*x, acc)
         };
-        let par = par_map(&items, 4, f);
+        let par = par_map_chunked(&items, 4, 8, None, f);
         for (i, (x, _)) in par.iter().enumerate() {
             assert_eq!(*x, i as u64);
         }
@@ -380,8 +154,8 @@ mod tests {
     #[test]
     fn par_map_empty_and_single() {
         let empty: Vec<u32> = vec![];
-        assert!(par_map(&empty, 4, |x| *x).is_empty());
-        assert_eq!(par_map(&[7u32], 4, |x| x + 1), vec![8]);
+        assert!(par_map_chunked(&empty, 4, 8, None, |x| *x).is_empty());
+        assert_eq!(par_map_chunked(&[7u32], 4, 8, None, |x| x + 1), vec![8]);
     }
 
     #[test]
@@ -423,110 +197,7 @@ mod tests {
     }
 
     #[test]
-    fn par_map_reduce_sums() {
-        let items: Vec<u64> = (1..=10_000).collect();
-        let total = par_map_reduce(&items, 8, 0u64, |&x| x, |a, b| a + b);
-        assert_eq!(total, 10_000 * 10_001 / 2);
-    }
-
-    #[test]
-    fn par_map_reduce_single_thread_fallback() {
-        let items: Vec<u64> = (1..=10).collect();
-        let total = par_map_reduce(&items, 1, 0u64, |&x| x, |a, b| a + b);
-        assert_eq!(total, 55);
-    }
-
-    #[test]
     fn default_threads_is_positive() {
         assert!(default_threads() >= 1);
-    }
-
-    #[test]
-    fn worker_slices_partition_the_range() {
-        for threads in [1, 2, 3, 7] {
-            for (lo, hi) in [(0, 0), (0, 1), (3, 17), (0, 1000)] {
-                let mut covered = Vec::new();
-                for w in 0..threads {
-                    let s = worker_slice(w, threads, lo..hi);
-                    assert!(s.start >= lo && s.end <= hi);
-                    covered.extend(s);
-                }
-                assert_eq!(covered, (lo..hi).collect::<Vec<_>>(), "threads={threads} {lo}..{hi}");
-            }
-        }
-    }
-
-    #[test]
-    fn pool_scope_accumulates_like_sequential() {
-        // Per-worker slots + in-order reduction: the canonical deterministic
-        // pool pattern. Many small dispatches reuse the same workers.
-        let items: Vec<u64> = (0..977).collect();
-        let seq: u64 = items.iter().sum();
-        for threads in [1, 2, 4] {
-            let slots: Vec<Mutex<u64>> = (0..threads).map(|_| Mutex::new(0)).collect();
-            let total = pool_scope(
-                threads,
-                |w, range| {
-                    let part: u64 = items[range].iter().sum();
-                    *slots[w].lock().unwrap() += part;
-                },
-                |pool| {
-                    assert_eq!(pool.threads(), threads);
-                    // Several dispatches against the same pool.
-                    pool.dispatch(0..400);
-                    pool.dispatch(400..400); // empty range is fine
-                    pool.dispatch(400..items.len());
-                    slots.iter().map(|s| *s.lock().unwrap()).sum::<u64>()
-                },
-            );
-            assert_eq!(total, seq, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn pool_scope_ordered_reduction_is_deterministic() {
-        // First-minimum reduction in worker order must equal the sequential
-        // first-minimum regardless of interleaving.
-        let vals: Vec<f64> = (0..503).map(|i| f64::from((i * 7919) % 1000)).collect();
-        let seq = vals
-            .iter()
-            .enumerate()
-            .fold(None::<(f64, usize)>, |best, (i, &v)| {
-                if best.is_none_or(|(b, _)| v < b) {
-                    Some((v, i))
-                } else {
-                    best
-                }
-            })
-            .unwrap();
-        for threads in [1, 3, 8] {
-            let slots: Vec<Mutex<Option<(f64, usize)>>> =
-                (0..threads).map(|_| Mutex::new(None)).collect();
-            let got = pool_scope(
-                threads,
-                |w, range| {
-                    let mut best: Option<(f64, usize)> = None;
-                    for i in range {
-                        if best.is_none_or(|(b, _)| vals[i] < b) {
-                            best = Some((vals[i], i));
-                        }
-                    }
-                    *slots[w].lock().unwrap() = best;
-                },
-                |pool| {
-                    pool.dispatch(0..vals.len());
-                    let mut best: Option<(f64, usize)> = None;
-                    for s in &slots {
-                        if let Some((v, i)) = *s.lock().unwrap() {
-                            if best.is_none_or(|(b, _)| v < b) {
-                                best = Some((v, i));
-                            }
-                        }
-                    }
-                    best.unwrap()
-                },
-            );
-            assert_eq!(got, seq, "threads={threads}");
-        }
     }
 }

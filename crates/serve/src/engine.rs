@@ -6,7 +6,7 @@
 //! version stay on the workspace fast paths) and a per-version response
 //! cache: a response is a pure function of `(scenario version, canonical
 //! query)`, so repeats are answered by a `BTreeMap` lookup and cache
-//! misses fan out over an [`aheft_parcomp::pool_scope`] worker set.
+//! misses fan out over [`aheft_parcomp::par_map_chunked`].
 //!
 //! Determinism: the emitted response stream depends only on the request
 //! stream — not on batch boundaries, worker count, or which worker
@@ -22,7 +22,7 @@ use aheft_core::policy::planning_config;
 use aheft_core::runner::RunConfig;
 use aheft_core::whatif::{what_if, WhatIfQuery};
 use aheft_gridsim::plan::Assignment;
-use aheft_parcomp::pool_scope;
+use aheft_parcomp::par_map_chunked;
 
 use crate::protocol::{cache_key, error_tail, push_f64, push_response, push_u64, Op, Request};
 use crate::scenario::{Delta, Scenario, ScenarioStore};
@@ -162,33 +162,17 @@ impl QueryEngine {
         run.clear();
     }
 
-    /// Evaluate the deduplicated cache misses. With more than one worker
-    /// the miss list is partitioned into contiguous per-worker slices
-    /// (`pool_scope` dispatch); every result is independent of which
-    /// worker computed it, so the assembled vector is identical to the
-    /// sequential one.
+    /// Evaluate the deduplicated cache misses, one item per claim over up
+    /// to `threads` workers (inline on the caller with one worker or one
+    /// miss). Every result is independent of which worker or workspace
+    /// computed it, so the vector is identical to the sequential one.
     fn eval_misses(&self, scen: &Scenario, misses: &[(String, Op)]) -> Vec<String> {
-        if misses.is_empty() {
-            return Vec::new();
-        }
-        let threads = self.threads.min(misses.len());
-        if threads <= 1 {
-            let mut ws = self.workers[0].lock().expect("worker lock poisoned");
-            return misses.iter().map(|(_, op)| self.eval(scen, op, &mut ws)).collect();
-        }
-        let slots: Vec<Mutex<String>> = misses.iter().map(|_| Mutex::new(String::new())).collect();
-        pool_scope(
-            threads,
-            |w, range| {
-                let mut ws = self.workers[w].lock().expect("worker lock poisoned");
-                for i in range {
-                    let tail = self.eval(scen, &misses[i].1, &mut ws);
-                    *slots[i].lock().expect("slot lock poisoned") = tail;
-                }
-            },
-            |pool| pool.dispatch(0..misses.len()),
-        );
-        slots.into_iter().map(|m| m.into_inner().expect("slot lock poisoned")).collect()
+        par_map_chunked(misses, self.threads, 1, None, |(_, op)| {
+            // Misses run only under the cache lock `flush_reads` holds, at
+            // most `threads` at once, over `threads` workspaces: one is free.
+            let mut ws = self.workers.iter().find_map(|w| w.try_lock().ok());
+            self.eval(scen, op, ws.as_mut().expect("a free workspace per worker"))
+        })
     }
 
     /// Evaluate one read-only query to its response tail.
@@ -446,6 +430,7 @@ mod tests {
             finish(5, blocked, "600"),
             finish(6, done, "600"),
             finish(7, ready, "1e999"),
+            format!(r#"{{"id":12,"op":"info","pad":{}}}"#, "[".repeat(200_000)),
         ];
         let mut out = String::new();
         for line in &malformed {

@@ -16,8 +16,8 @@
 //!   persistent [`aheft_core::aheft::ScheduleWorkspace`] (warm rank cache
 //!   and row-major mirror keyed on `CostTable::state_id`), repeated
 //!   queries against one scenario version hit a per-version response
-//!   cache, and cache misses fan out over an
-//!   [`aheft_parcomp::pool_scope`] worker set.
+//!   cache, and cache misses fan out over
+//!   [`aheft_parcomp::par_map_chunked`].
 //! * [`server`] runs the loop over stdin/stdout or a TCP listener
 //!   (hand-rolled framing on `std::net`; vendored deps only).
 //!

@@ -2,10 +2,16 @@
 //! workspace vendors every dependency, so there is no async runtime —
 //! and none is needed: the engine batches and fans out internally).
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpListener;
 
 use crate::engine::QueryEngine;
+use crate::protocol::{error_tail, push_response};
+
+/// Longest request line [`serve_stream`] buffers, newline excluded. A
+/// `joined` delta at v=1000 is about 6 KB, so this is far above any real
+/// request.
+pub const MAX_LINE_BYTES: usize = 8 << 20;
 
 /// Drive `engine` over one line-delimited stream: read up to `batch`
 /// request lines, answer them in order, flush, repeat until EOF.
@@ -15,6 +21,10 @@ use crate::engine::QueryEngine;
 /// clients should run with `batch = 1` (the default), which answers and
 /// flushes after every line. Batching never changes the response bytes —
 /// only their flush timing.
+///
+/// A line longer than [`MAX_LINE_BYTES`] is skipped to its newline without
+/// being buffered, and a line that is not UTF-8 is dropped; each is
+/// answered in turn with one `{"id":0,"ok":false,…}` and the stream goes on.
 pub fn serve_stream<R: BufRead, W: Write>(
     engine: &QueryEngine,
     batch: usize,
@@ -24,20 +34,51 @@ pub fn serve_stream<R: BufRead, W: Write>(
     let batch = batch.max(1);
     let mut pending: Vec<String> = Vec::with_capacity(batch);
     let mut out = String::new();
+    let mut bytes = Vec::new();
     loop {
-        let mut line = String::new();
-        let eof = input.read_line(&mut line)? == 0;
-        if !eof && !line.trim().is_empty() {
-            pending.push(line);
-        }
-        if pending.len() >= batch || (eof && !pending.is_empty()) {
+        bytes.clear();
+        let eof = (&mut input).take(MAX_LINE_BYTES as u64 + 1).read_until(b'\n', &mut bytes)? == 0;
+        let rejected = if bytes.len() > MAX_LINE_BYTES && bytes.last() != Some(&b'\n') {
+            skip_line(&mut input)?;
+            Some(format!("request line longer than {MAX_LINE_BYTES} bytes"))
+        } else {
+            match String::from_utf8(std::mem::take(&mut bytes)) {
+                Ok(line) => {
+                    if !line.trim().is_empty() {
+                        pending.push(line);
+                    }
+                    None
+                }
+                Err(_) => Some("request line is not valid UTF-8".to_string()),
+            }
+        };
+        if pending.len() >= batch || rejected.is_some() || (eof && !pending.is_empty()) {
             out.clear();
             engine.process_batch(pending.iter().map(String::as_str), &mut out);
+            if let Some(msg) = &rejected {
+                push_response(&mut out, 0, &error_tail(msg));
+            }
             output.write_all(out.as_bytes())?;
             output.flush()?;
             pending.clear();
         }
         if eof {
+            return Ok(());
+        }
+    }
+}
+
+/// Discard `input` up to and including the next newline (or EOF) without
+/// buffering it.
+fn skip_line<R: BufRead>(input: &mut R) -> io::Result<()> {
+    loop {
+        let buf = input.fill_buf()?;
+        let (used, done) = match buf.iter().position(|&b| b == b'\n') {
+            Some(i) => (i + 1, true),
+            None => (buf.len(), buf.is_empty()),
+        };
+        input.consume(used);
+        if done {
             return Ok(());
         }
     }
@@ -88,5 +129,33 @@ mod tests {
         let text = String::from_utf8(one).unwrap();
         assert_eq!(text.lines().count(), 3);
         assert!(text.lines().all(|l| l.starts_with("{\"id\":")));
+    }
+
+    #[test]
+    fn overlong_and_non_utf8_lines_get_one_error_each_and_the_stream_goes_on() {
+        let engine = || {
+            QueryEngine::new(
+                ScenarioParams { jobs: 40, resources: 4, seed: 3, finished: 0.5 }.build(),
+                1,
+            )
+        };
+        let valid = "{\"id\":2,\"op\":\"replan\"}\n";
+        let mut input = b"{\"id\":1,\"op\":\"info\"}\n".to_vec();
+        input.extend(std::iter::repeat_n(b'[', MAX_LINE_BYTES + 1));
+        input.extend(b"\n\xff\xfe\n");
+        input.extend(valid.as_bytes());
+        for batch in [1, 64] {
+            let mut out = Vec::new();
+            serve_stream(&engine(), batch, input.as_slice(), &mut out).unwrap();
+            let text = String::from_utf8(out).unwrap();
+            let lines: Vec<&str> = text.lines().collect();
+            assert_eq!(lines.len(), 4, "batch {batch}: {text}");
+            assert!(lines[0].starts_with("{\"id\":1,\"ok\":true"));
+            assert!(lines[1].starts_with("{\"id\":0,\"ok\":false") && lines[1].contains("longer"));
+            assert!(lines[2].starts_with("{\"id\":0,\"ok\":false") && lines[2].contains("UTF-8"));
+            let mut clean = Vec::new();
+            serve_stream(&engine(), 1, valid.as_bytes(), &mut clean).unwrap();
+            assert_eq!(format!("{}\n", lines[3]).as_bytes(), clean.as_slice());
+        }
     }
 }

@@ -28,8 +28,10 @@ fn main() {
             let wf = aheft::workflow::generators::blast::generate(&params, &mut rng);
             let costs = wf.sample_table(10, &mut rng);
             let dynamics = PoolDynamics::periodic_growth(10, 400.0, 0.25);
-            let h = run_static_heft(&wf.dag, &costs, &wf.costgen, &dynamics, seed);
-            let a = run_aheft(&wf.dag, &costs, &wf.costgen, &dynamics, seed);
+            let cfg = RunConfig::default();
+            let run =
+                |name| run_named_policy(name, &wf.dag, &costs, &wf.costgen, &dynamics, seed, &cfg);
+            let (h, a) = (run("heft"), run("aheft"));
             heft_avg += h.makespan / seeds as f64;
             aheft_avg += a.makespan / seeds as f64;
             resched += a.reschedules;

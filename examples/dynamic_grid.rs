@@ -10,7 +10,6 @@
 //! path the paper describes in §3.3. Prints the execution trace and an
 //! ASCII Gantt chart (the reproduction of Fig. 5).
 
-use aheft::core::runner::{run_aheft_with, RunConfig};
 use aheft::gridsim::fault::FailureModel;
 use aheft::gridsim::trace::TraceEvent;
 use aheft::prelude::*;
@@ -24,7 +23,7 @@ fn main() {
     // --- the worked example: r4 joins at t=15 --------------------------
     let dynamics = PoolDynamics::periodic_growth(3, sample::FIG4_R4_ARRIVAL, 1.0 / 3.0).with_cap(4);
     let cfg = RunConfig { record_trace: true, ..Default::default() };
-    let report = run_aheft_with(&dag, &costs, &costgen, &dynamics, 1, &cfg);
+    let report = run_named_policy("aheft", &dag, &costs, &costgen, &dynamics, 1, &cfg);
 
     println!("== worked example: r4 joins at t=15 ==");
     println!(
@@ -40,7 +39,7 @@ fn main() {
         ..Default::default()
     };
     let growing = PoolDynamics::periodic_growth(3, 50.0, 1.0 / 3.0);
-    let report = run_aheft_with(&dag, &costs, &costgen, &growing, 11, &cfg);
+    let report = run_named_policy("aheft", &dag, &costs, &costgen, &growing, 11, &cfg);
 
     println!("== failure injection: each resource fails with p=0.6 before t=30 ==");
     println!(

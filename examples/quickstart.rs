@@ -31,11 +31,10 @@ fn main() {
     );
 
     let dynamics = PoolDynamics::periodic_growth(8, 400.0, 0.10);
+    let cfg = RunConfig::default();
+    let run = |name| run_named_policy(name, &wf.dag, &costs, &wf.costgen, &dynamics, seed, &cfg);
 
-    let heft = run_static_heft(&wf.dag, &costs, &wf.costgen, &dynamics, seed);
-    let aheft = run_aheft(&wf.dag, &costs, &wf.costgen, &dynamics, seed);
-    let minmin =
-        run_dynamic(&wf.dag, &costs, &wf.costgen, &dynamics, seed, DynamicHeuristic::MinMin);
+    let (heft, aheft, minmin) = (run("heft"), run("aheft"), run("minmin"));
 
     println!("\n  strategy          makespan   SLR");
     for (name, report) in
@@ -58,16 +57,7 @@ fn main() {
     // just named entries of the registry (`experiments --policy ...`).
     println!("\n  full policy registry on the same grid:");
     for name in POLICY_NAMES {
-        let report = run_named_policy(
-            name,
-            &wf.dag,
-            &costs,
-            &wf.costgen,
-            &dynamics,
-            seed,
-            &aheft::core::runner::RunConfig::default(),
-        )
-        .expect("registered policy");
+        let report = run(name);
         println!(
             "  {name:<15} {:>8.0}  ({:+.1}% vs HEFT)",
             report.makespan,

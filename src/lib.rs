@@ -11,7 +11,8 @@
 //! * [`core`] — the schedulers: static HEFT, the paper's **AHEFT**
 //!   adaptive rescheduler, dynamic Min-Min/Max-Min/Sufferage baselines,
 //!   the planner/executor collaboration loop and what-if queries,
-//! * [`parcomp`] — parallel sweep utilities used by the experiment harness.
+//! * [`parcomp`] — the ordered parallel map behind the experiment sweeps and
+//!   `served`'s cache misses.
 //!
 //! ## Quickstart
 //!
@@ -28,18 +29,15 @@
 //! // A grid whose pool grows by 10% of 8 resources every 400 time units.
 //! let dynamics = PoolDynamics::periodic_growth(8, 400.0, 0.10);
 //!
-//! // Compare static HEFT with adaptive AHEFT on the same grid.
-//! let heft = run_static_heft(&wf.dag, &costs, &wf.costgen, &dynamics, 1);
-//! let aheft = run_aheft(&wf.dag, &costs, &wf.costgen, &dynamics, 1);
+//! // Every strategy is a named `SchedulingPolicy` on one generic event
+//! // pump; compare static HEFT with adaptive AHEFT on the same grid.
+//! let cfg = RunConfig::default();
+//! let run = |name| run_named_policy(name, &wf.dag, &costs, &wf.costgen, &dynamics, 1, &cfg);
+//! let (heft, aheft) = (run("heft"), run("aheft"));
 //! assert!(aheft.makespan <= heft.makespan + 1e-9);
 //!
-//! // Every strategy is a named `SchedulingPolicy` on one generic event
-//! // pump; the registry also carries ablation and hybrid policies.
-//! let hybrid = run_named_policy(
-//!     "ranked-jit", &wf.dag, &costs, &wf.costgen, &dynamics, 1,
-//!     &aheft::core::runner::RunConfig::default(),
-//! ).expect("registered policy");
-//! assert!(hybrid.makespan > 0.0);
+//! // The registry also carries ablation and hybrid policies.
+//! assert!(run("ranked-jit").makespan > 0.0);
 //! ```
 
 #![warn(missing_docs)]
@@ -52,10 +50,10 @@ pub use aheft_workflow as workflow;
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {
     pub use aheft_core::aheft::AheftConfig;
-    pub use aheft_core::heft::{heft_schedule, HeftConfig};
+    pub use aheft_core::heft::heft_schedule;
     pub use aheft_core::metrics::{improvement_rate, schedule_length_ratio};
     pub use aheft_core::policy::{run_named_policy, SchedulingPolicy, POLICY_NAMES};
-    pub use aheft_core::runner::{run_aheft, run_dynamic, run_policy, run_static_heft, RunReport};
+    pub use aheft_core::runner::{run_policy, RunConfig, RunReport};
     pub use aheft_core::schedule::Schedule;
     pub use aheft_core::service::{
         make_fairness, run_service, ArrivalProcess, FairnessPolicy, ServiceConfig, ServiceReport,

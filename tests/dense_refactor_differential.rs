@@ -22,7 +22,7 @@
 use std::collections::HashMap;
 
 use aheft::core::aheft::{
-    aheft_reschedule, aheft_reschedule_with, AheftConfig, ReschedulableSet, ScheduleWorkspace,
+    aheft_reschedule, aheft_schedule_into, AheftConfig, ReschedulableSet, ScheduleWorkspace,
     MIRROR_MIN_CELLS,
 };
 use aheft::gridsim::executor::Snapshot;
@@ -242,9 +242,9 @@ fn scheduler_matches_prerefactor_oracle_on_random_instances() {
             // pass hits the warm rank cache and skips the priority sort.
             for kind in ["reused-vs-oracle", "warm-vs-oracle"] {
                 let reused =
-                    aheft_reschedule_with(&wf.dag, &costs, snap.view(), &alive, &config, &mut ws);
-                assert_identical(kind, seed, reused.plan.assignments(), &oracle_plan);
-                assert_eq!(reused.predicted_makespan.to_bits(), oracle_predicted.to_bits());
+                    aheft_schedule_into(&wf.dag, &costs, snap.view(), &alive, &config, &mut ws);
+                assert_identical(kind, seed, ws.assignments(), &oracle_plan);
+                assert_eq!(reused.to_bits(), oracle_predicted.to_bits());
             }
         }
     }
@@ -275,10 +275,10 @@ fn mirror_pass_matches_the_oracle_above_the_gate() {
         ] {
             let (oracle_plan, oracle_predicted) =
                 oracle_reschedule(&wf.dag, costs, &snap, alive, &config);
-            let got = aheft_reschedule_with(&wf.dag, costs, snap.view(), alive, &config, &mut ws);
+            let got = aheft_schedule_into(&wf.dag, costs, snap.view(), alive, &config, &mut ws);
             let kind = format!("{step}/{config:?}");
-            assert_identical(&kind, 900, got.plan.assignments(), &oracle_plan);
-            assert_eq!(got.predicted_makespan.to_bits(), oracle_predicted.to_bits(), "{kind}");
+            assert_identical(&kind, 900, ws.assignments(), &oracle_plan);
+            assert_eq!(got.to_bits(), oracle_predicted.to_bits(), "{kind}");
         }
     };
     check(&costs, &alive, "before join");
@@ -297,12 +297,15 @@ fn end_to_end_runs_are_reproducible_and_strategy_invariants_hold() {
         let wf = generate(&p, &mut rng);
         let costs = wf.sample_table(5, &mut rng);
         let dynamics = PoolDynamics::periodic_growth(5, 250.0, 0.2);
-        let a1 = run_aheft(&wf.dag, &costs, &wf.costgen, &dynamics, seed);
-        let a2 = run_aheft(&wf.dag, &costs, &wf.costgen, &dynamics, seed);
+        let cfg = RunConfig::default();
+        let run =
+            |name| run_named_policy(name, &wf.dag, &costs, &wf.costgen, &dynamics, seed, &cfg);
+        let a1 = run("aheft");
+        let a2 = run("aheft");
         assert_eq!(a1.makespan.to_bits(), a2.makespan.to_bits(), "seed {seed}: not reproducible");
         assert_eq!(a1.reschedules, a2.reschedules);
         assert_eq!(a1.events_processed, a2.events_processed);
-        let h = run_static_heft(&wf.dag, &costs, &wf.costgen, &dynamics, seed);
+        let h = run("heft");
         assert!(a1.makespan <= h.makespan + 1e-6, "seed {seed}: AHEFT lost to HEFT");
     }
 }

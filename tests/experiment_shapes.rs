@@ -16,16 +16,18 @@ fn averages(
     let mut h = 0.0;
     let mut a = 0.0;
     let mut m = 0.0;
+    let cfg = RunConfig::default();
     for seed in 0..seeds {
         let mut rng = StdRng::seed_from_u64(777 + seed);
         let wf = gen(&mut rng);
         let costs = wf.sample_table(resources, &mut rng);
-        h += run_static_heft(&wf.dag, &costs, &wf.costgen, dynamics, seed).makespan;
-        a += run_aheft(&wf.dag, &costs, &wf.costgen, dynamics, seed).makespan;
+        let run = |name| {
+            run_named_policy(name, &wf.dag, &costs, &wf.costgen, dynamics, seed, &cfg).makespan
+        };
+        h += run("heft");
+        a += run("aheft");
         if with_minmin {
-            m +=
-                run_dynamic(&wf.dag, &costs, &wf.costgen, dynamics, seed, DynamicHeuristic::MinMin)
-                    .makespan;
+            m += run("minmin");
         }
     }
     let n = seeds as f64;

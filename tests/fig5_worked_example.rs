@@ -1,7 +1,6 @@
 //! Integration test for the paper's worked example (Fig. 4 / Fig. 5).
 
-use aheft::core::aheft::{aheft_reschedule, AheftConfig, ReschedulableSet, ScheduleWorkspace};
-use aheft::core::runner::{run_aheft_with, RunConfig};
+use aheft::core::aheft::{aheft_reschedule, AheftConfig, ScheduleWorkspace};
 use aheft::gridsim::executor::Snapshot;
 use aheft::prelude::*;
 use aheft::workflow::sample;
@@ -16,7 +15,7 @@ fn setup() -> (Dag, CostTable, CostGenerator) {
 #[test]
 fn heft_reproduces_fig5a_makespan_80() {
     let (dag, costs, _) = setup();
-    let schedule = heft_schedule(&dag, &costs, &HeftConfig::default());
+    let schedule = heft_schedule(&dag, &costs, SlotPolicy::Insertion);
     assert!((schedule.predicted_makespan() - 80.0).abs() < 1e-9);
     assert!(schedule.validate(&dag, &costs).is_empty());
 }
@@ -26,16 +25,9 @@ fn simulated_execution_matches_planned_schedule_exactly() {
     // Under exact estimates the executor must realise the plan tick for
     // tick: same placements, same start times, same makespan.
     let (dag, costs, costgen) = setup();
-    let schedule = heft_schedule(&dag, &costs, &HeftConfig::default());
+    let schedule = heft_schedule(&dag, &costs, SlotPolicy::Insertion);
     let cfg = RunConfig { record_trace: true, ..Default::default() };
-    let report = aheft::core::runner::run_static_heft_with(
-        &dag,
-        &costs,
-        &costgen,
-        &PoolDynamics::fixed(3),
-        0,
-        &cfg,
-    );
+    let report = run_named_policy("heft", &dag, &costs, &costgen, &PoolDynamics::fixed(3), 0, &cfg);
     assert!((report.makespan - schedule.predicted_makespan()).abs() < 1e-9);
     for (job, resource, start, finish) in report.trace.completed_intervals() {
         let a = schedule.assignment(job).expect("all jobs scheduled");
@@ -49,14 +41,11 @@ fn simulated_execution_matches_planned_schedule_exactly() {
 fn aheft_worked_example_never_worse_than_heft() {
     let (dag, costs, costgen) = setup();
     let dynamics = PoolDynamics::periodic_growth(3, sample::FIG4_R4_ARRIVAL, 1.0 / 3.0).with_cap(4);
-    for set in [ReschedulableSet::AllUnfinished, ReschedulableSet::NotStarted] {
-        let cfg = RunConfig {
-            aheft: AheftConfig { reschedulable: set, ..Default::default() },
-            ..Default::default()
-        };
-        let report = run_aheft_with(&dag, &costs, &costgen, &dynamics, 1, &cfg);
+    let cfg = RunConfig::default();
+    for name in ["aheft", "aheft-pin"] {
+        let report = run_named_policy(name, &dag, &costs, &costgen, &dynamics, 1, &cfg);
         assert_eq!(report.evaluations, 1, "r4's arrival must be evaluated");
-        assert!(report.makespan <= 80.0 + 1e-9, "{set:?}: {}", report.makespan);
+        assert!(report.makespan <= 80.0 + 1e-9, "{name}: {}", report.makespan);
     }
 }
 
@@ -64,7 +53,7 @@ fn aheft_worked_example_never_worse_than_heft() {
 fn aheft_equals_heft_at_clock_zero() {
     // §3.4: "AHEFT is identical to HEFT when clock = 0".
     let (dag, costs, _) = setup();
-    let heft = heft_schedule(&dag, &costs, &HeftConfig::default());
+    let heft = heft_schedule(&dag, &costs, SlotPolicy::Insertion);
     let aheft = aheft_reschedule(
         &dag,
         &costs,
@@ -86,7 +75,7 @@ fn what_if_answers_match_heft_over_grown_pool() {
     // The what-if "add r4" answer must equal HEFT run on the 4-column table.
     let (dag, costs, _) = setup();
     let full = sample::fig4_costs_full();
-    let heft4 = heft_schedule(&dag, &full, &HeftConfig::default());
+    let heft4 = heft_schedule(&dag, &full, SlotPolicy::Insertion);
     let report = what_if(
         &dag,
         &costs,

@@ -135,7 +135,7 @@ fn generators_schedule_end_to_end() {
     ];
     for (name, wf) in &workloads {
         let costs = wf.sample_table(RESOURCES, &mut rng);
-        let s = heft_schedule(&wf.dag, &costs, &HeftConfig::default());
+        let s = heft_schedule(&wf.dag, &costs, SlotPolicy::Insertion);
         assert_eq!(s.len(), wf.dag.job_count(), "{name}: schedule misses jobs");
         let problems = s.validate(&wf.dag, &costs);
         assert!(problems.is_empty(), "{name}: invalid schedule: {problems:?}");

@@ -2,7 +2,6 @@
 //! reproduction trustworthy, checked over randomly generated workloads.
 
 use aheft::core::aheft::{aheft_reschedule, AheftConfig};
-use aheft::core::runner::{run_static_heft_with, RunConfig};
 use aheft::gridsim::executor::Snapshot;
 use aheft::prelude::*;
 use aheft::workflow::generators::random::{generate, RandomDagParams};
@@ -52,7 +51,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let wf = generate(&params, &mut rng);
         let costs = wf.sample_table(resources, &mut rng);
-        let s = heft_schedule(&wf.dag, &costs, &HeftConfig::default());
+        let s = heft_schedule(&wf.dag, &costs, SlotPolicy::Insertion);
         prop_assert_eq!(s.len(), wf.dag.job_count());
         let problems = s.validate(&wf.dag, &costs);
         prop_assert!(problems.is_empty(), "{:?}", problems);
@@ -65,9 +64,9 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let wf = generate(&params, &mut rng);
         let costs = wf.sample_table(resources, &mut rng);
-        let s = heft_schedule(&wf.dag, &costs, &HeftConfig::default());
-        let report = run_static_heft_with(
-            &wf.dag, &costs, &wf.costgen,
+        let s = heft_schedule(&wf.dag, &costs, SlotPolicy::Insertion);
+        let report = run_named_policy(
+            "heft", &wf.dag, &costs, &wf.costgen,
             &PoolDynamics::fixed(resources), seed, &RunConfig::default(),
         );
         prop_assert!((report.makespan - s.predicted_makespan()).abs() < 1e-6,
@@ -82,8 +81,10 @@ proptest! {
         let wf = generate(&params, &mut rng);
         let costs = wf.sample_table(resources, &mut rng);
         let dynamics = PoolDynamics::periodic_growth(resources, 300.0, 0.25);
-        let h = run_static_heft(&wf.dag, &costs, &wf.costgen, &dynamics, seed);
-        let a = run_aheft(&wf.dag, &costs, &wf.costgen, &dynamics, seed);
+        let cfg = RunConfig::default();
+        let run =
+            |name| run_named_policy(name, &wf.dag, &costs, &wf.costgen, &dynamics, seed, &cfg);
+        let (h, a) = (run("heft"), run("aheft"));
         prop_assert!(a.makespan <= h.makespan + 1e-6,
             "AHEFT {} > HEFT {}", a.makespan, h.makespan);
     }
@@ -95,9 +96,9 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let wf = generate(&params, &mut rng);
         let costs = wf.sample_table(resources, &mut rng);
-        let report = run_dynamic(
-            &wf.dag, &costs, &wf.costgen,
-            &PoolDynamics::fixed(resources), seed, DynamicHeuristic::MinMin,
+        let report = run_named_policy(
+            "minmin", &wf.dag, &costs, &wf.costgen,
+            &PoolDynamics::fixed(resources), seed, &RunConfig::default(),
         );
         // Lower bound: the fastest single job cannot finish before its own
         // minimum cost.

@@ -19,7 +19,8 @@
 //! against the independent oracle.
 
 use aheft::core::aheft::{
-    aheft_reschedule_with, AheftConfig, ReschedulableSet, ScheduleWorkspace, MIRROR_MIN_CELLS,
+    aheft_reschedule, aheft_schedule_into, AheftConfig, ReschedulableSet, ScheduleWorkspace,
+    MIRROR_MIN_CELLS,
 };
 use aheft::gridsim::executor::Snapshot;
 use aheft::gridsim::plan::Assignment;
@@ -139,10 +140,7 @@ proptest! {
         };
         let base: Vec<_> = configs
             .iter()
-            .map(|config| {
-                let mut ws = ScheduleWorkspace::new();
-                aheft_reschedule_with(&wf.dag, &costs, snap.view(), &alive, config, &mut ws)
-            })
+            .map(|config| aheft_reschedule(&wf.dag, &costs, &snap, &alive, config))
             .collect();
 
         for threads in [1usize, 2, 4] {
@@ -163,7 +161,7 @@ proptest! {
                                 let kernel = KERNELS[cell / configs.len()];
                                 let ci = cell % configs.len();
                                 for pass in ["cold", "warm"] {
-                                    let got = aheft_reschedule_with(
+                                    let predicted = aheft_schedule_into(
                                         dag,
                                         table(kernel),
                                         snap.view(),
@@ -171,7 +169,8 @@ proptest! {
                                         &configs[ci],
                                         &mut ws,
                                     );
-                                    out.push((w, kernel, ci, pass, got));
+                                    let got = ws.assignments().to_vec();
+                                    out.push((w, kernel, ci, pass, got, predicted));
                                 }
                             }
                             out
@@ -180,12 +179,12 @@ proptest! {
                     .collect();
                 workers.into_iter().map(|h| h.join().unwrap()).collect::<Vec<_>>()
             });
-            for (w, kernel, ci, pass, got) in runs.into_iter().flatten() {
+            for (w, kernel, ci, pass, got, predicted) in runs.into_iter().flatten() {
                 let label = format!("{kernel:?}/threads={threads}/worker={w}/{pass}/{:?}", configs[ci]);
-                assert_identical(&label, base[ci].plan.assignments(), got.plan.assignments());
+                assert_identical(&label, base[ci].plan.assignments(), &got);
                 prop_assert_eq!(
                     base[ci].predicted_makespan.to_bits(),
-                    got.predicted_makespan.to_bits(),
+                    predicted.to_bits(),
                     "{}: predicted makespan bits", label
                 );
             }

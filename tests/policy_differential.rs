@@ -31,17 +31,12 @@
 //! `GOLDEN_PRINT=1 cargo test --test policy_differential -- --nocapture`
 //! and replace the `GOLDEN` (and/or `SERVICE_GOLDEN`) table.
 
-use aheft::core::aheft::{AheftConfig, ReschedulableSet};
 use aheft::core::planner::ReschedulePolicy;
-use aheft::core::runner::{
-    run_aheft_with, run_dynamic_with, run_static_heft_with, RunConfig, RunReport,
-};
+use aheft::core::runner::{RunConfig, RunReport};
 use aheft::core::service::{
     make_fairness, run_service, ArrivalProcess, ServiceConfig, ServiceReport, FAIRNESS_NAMES,
 };
-use aheft::core::{
-    make_recovery, run_named_policy, DynamicHeuristic, SlotPolicy, POLICY_NAMES, RECOVERY_NAMES,
-};
+use aheft::core::{make_recovery, run_named_policy, POLICY_NAMES, RECOVERY_NAMES};
 use aheft::gridsim::fault::{FailureModel, JobFaultModel};
 use aheft::gridsim::predictor::ActualModel;
 use aheft::prelude::*;
@@ -106,18 +101,9 @@ fn compute_fingerprints() -> Vec<(String, String)> {
         for seed in 0..3u64 {
             let (dag, costs, costgen) = random_grid(25, ccr, 4, seed);
             let dynamics = PoolDynamics::periodic_growth(4, 300.0, 0.25);
-            let label = |s: &str| format!("{s}/ccr{ccr}/seed{seed}");
-            let h = run_static_heft_with(&dag, &costs, &costgen, &dynamics, seed, &base);
-            out.push((label("heft"), fingerprint(&h)));
-            let a = run_aheft_with(&dag, &costs, &costgen, &dynamics, seed, &base);
-            out.push((label("aheft"), fingerprint(&a)));
-            for (name, heur) in [
-                ("minmin", DynamicHeuristic::MinMin),
-                ("maxmin", DynamicHeuristic::MaxMin),
-                ("sufferage", DynamicHeuristic::Sufferage),
-            ] {
-                let d = run_dynamic_with(&dag, &costs, &costgen, &dynamics, seed, &base, heur);
-                out.push((label(name), fingerprint(&d)));
+            for name in ["heft", "aheft", "minmin", "maxmin", "sufferage"] {
+                let r = run_named_policy(name, &dag, &costs, &costgen, &dynamics, seed, &base);
+                out.push((format!("{name}/ccr{ccr}/seed{seed}"), fingerprint(&r)));
             }
         }
     }
@@ -126,27 +112,18 @@ fn compute_fingerprints() -> Vec<(String, String)> {
     {
         let (dag, costs, costgen) = random_grid(25, 0.8, 4, 1);
         let dynamics = PoolDynamics::periodic_growth(4, 300.0, 0.25);
-        let pin = traced(RunConfig {
-            aheft: AheftConfig {
-                reschedulable: ReschedulableSet::NotStarted,
-                ..Default::default()
-            },
-            ..Default::default()
-        });
-        let r = run_aheft_with(&dag, &costs, &costgen, &dynamics, 1, &pin);
-        out.push(("aheft-pin/ccr0.8/seed1".into(), fingerprint(&r)));
-        let noinsert = traced(RunConfig {
-            aheft: AheftConfig { slot_policy: SlotPolicy::EndOfQueue, ..Default::default() },
-            ..Default::default()
-        });
-        let r = run_aheft_with(&dag, &costs, &costgen, &dynamics, 1, &noinsert);
-        out.push(("aheft-noinsert/ccr0.8/seed1".into(), fingerprint(&r)));
         let periodic = traced(RunConfig {
             policy: ReschedulePolicy::Periodic { period: 200.0 },
             ..Default::default()
         });
-        let r = run_aheft_with(&dag, &costs, &costgen, &dynamics, 1, &periodic);
-        out.push(("aheft-periodic200/ccr0.8/seed1".into(), fingerprint(&r)));
+        for (label, name, cfg) in [
+            ("aheft-pin", "aheft-pin", &base),
+            ("aheft-noinsert", "aheft-noinsert", &base),
+            ("aheft-periodic200", "aheft", &periodic),
+        ] {
+            let r = run_named_policy(name, &dag, &costs, &costgen, &dynamics, 1, cfg);
+            out.push((format!("{label}/ccr0.8/seed1"), fingerprint(&r)));
+        }
     }
 
     // --- noisy execution + performance-variance notifications -----------
@@ -161,12 +138,19 @@ fn compute_fingerprints() -> Vec<(String, String)> {
             ..Default::default()
         });
         for seed in [7u64, 8] {
-            let r = run_aheft_with(&dag, &costs, &costgen, &PoolDynamics::fixed(3), seed, &cfg);
-            out.push((format!("aheft-noisy/seed{seed}"), fingerprint(&r)));
             // Static under a Never trigger still *processes* variance events.
-            let s =
-                run_static_heft_with(&dag, &costs, &costgen, &PoolDynamics::fixed(3), seed, &cfg);
-            out.push((format!("heft-noisy/seed{seed}"), fingerprint(&s)));
+            for name in ["aheft", "heft"] {
+                let r = run_named_policy(
+                    name,
+                    &dag,
+                    &costs,
+                    &costgen,
+                    &PoolDynamics::fixed(3),
+                    seed,
+                    &cfg,
+                );
+                out.push((format!("{name}-noisy/seed{seed}"), fingerprint(&r)));
+            }
         }
     }
 
@@ -181,10 +165,10 @@ fn compute_fingerprints() -> Vec<(String, String)> {
             ..Default::default()
         });
         for seed in 0..4u64 {
-            let a = run_aheft_with(&dag, &costs, &costgen, &dynamics, seed, &cfg);
-            out.push((format!("aheft-fail/seed{seed}"), fingerprint(&a)));
-            let h = run_static_heft_with(&dag, &costs, &costgen, &dynamics, seed, &cfg);
-            out.push((format!("heft-fail/seed{seed}"), fingerprint(&h)));
+            for name in ["aheft", "heft"] {
+                let r = run_named_policy(name, &dag, &costs, &costgen, &dynamics, seed, &cfg);
+                out.push((format!("{name}-fail/seed{seed}"), fingerprint(&r)));
+            }
             // (No dynamic runs here: the JIT mapper requires an alive pool,
             // and this failure model can empty it — a pre-existing
             // limitation shared by the pre- and post-refactor engines.)
@@ -207,8 +191,7 @@ fn compute_fingerprints() -> Vec<(String, String)> {
                 recovery,
                 ..Default::default()
             });
-            let r = run_named_policy(name, &dag, &costs, &costgen, &dynamics, 9, &cfg)
-                .expect("registered policy");
+            let r = run_named_policy(name, &dag, &costs, &costgen, &dynamics, 9, &cfg);
             out.push((format!("{name}-chaos"), fingerprint(&r)));
         }
     }

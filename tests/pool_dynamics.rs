@@ -1,7 +1,6 @@
 //! Integration tests of the grid-dynamics substrate seen through full runs:
 //! pool caps, growth accounting, and the determinism of paired comparisons.
 
-use aheft::core::runner::{run_aheft_with, RunConfig};
 use aheft::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -18,7 +17,8 @@ fn blast(n: usize, seed: u64) -> (GeneratedWorkflow, CostTable) {
 fn pool_cap_limits_growth() {
     let (wf, costs) = blast(40, 1);
     let capped = PoolDynamics::periodic_growth(6, 200.0, 0.5).with_cap(10);
-    let report = run_aheft(&wf.dag, &costs, &wf.costgen, &capped, 1);
+    let cfg = RunConfig::default();
+    let report = run_named_policy("aheft", &wf.dag, &costs, &wf.costgen, &capped, 1, &cfg);
     assert!(report.final_pool_size <= 10, "cap violated: {}", report.final_pool_size);
 }
 
@@ -26,7 +26,8 @@ fn pool_cap_limits_growth() {
 fn uncapped_growth_tracks_delta_schedule() {
     let (wf, costs) = blast(40, 2);
     let dynamics = PoolDynamics::periodic_growth(6, 400.0, 0.5); // +3 every 400
-    let report = run_aheft(&wf.dag, &costs, &wf.costgen, &dynamics, 2);
+    let cfg = RunConfig::default();
+    let report = run_named_policy("aheft", &wf.dag, &costs, &wf.costgen, &dynamics, 2, &cfg);
     // Joins happen at 400, 800, ... while the workflow runs; the pool must
     // have grown accordingly: initial + 3 * floor(makespan / 400) within one
     // batch of slack (the batch that fires exactly at completion time may or
@@ -49,12 +50,15 @@ fn paired_runs_see_identical_grids() {
     // independent of the growth events it ignores.
     let (wf, costs) = blast(30, 3);
     let dynamics = PoolDynamics::periodic_growth(6, 300.0, 0.25);
-    let a1 = run_aheft(&wf.dag, &costs, &wf.costgen, &dynamics, 7);
-    let a2 = run_aheft(&wf.dag, &costs, &wf.costgen, &dynamics, 7);
+    let cfg = RunConfig::default();
+    let run =
+        |name, dynamics| run_named_policy(name, &wf.dag, &costs, &wf.costgen, dynamics, 7, &cfg);
+    let a1 = run("aheft", &dynamics);
+    let a2 = run("aheft", &dynamics);
     assert_eq!(a1.makespan, a2.makespan);
     assert_eq!(a1.reschedules, a2.reschedules);
-    let h_growing = run_static_heft(&wf.dag, &costs, &wf.costgen, &dynamics, 7);
-    let h_fixed = run_static_heft(&wf.dag, &costs, &wf.costgen, &PoolDynamics::fixed(6), 7);
+    let h_growing = run("heft", &dynamics);
+    let h_fixed = run("heft", &PoolDynamics::fixed(6));
     assert!((h_growing.makespan - h_fixed.makespan).abs() < 1e-9);
 }
 
@@ -63,7 +67,7 @@ fn reschedule_counts_are_bounded_by_events() {
     let (wf, costs) = blast(60, 4);
     let dynamics = PoolDynamics::periodic_growth(6, 250.0, 0.25);
     let cfg = RunConfig { record_trace: true, ..Default::default() };
-    let report = run_aheft_with(&wf.dag, &costs, &wf.costgen, &dynamics, 4, &cfg);
+    let report = run_named_policy("aheft", &wf.dag, &costs, &wf.costgen, &dynamics, 4, &cfg);
     assert!(report.reschedules <= report.evaluations);
     // Every accepted reschedule appears in the trace.
     assert_eq!(report.trace.reschedule_count(), report.reschedules);
@@ -77,6 +81,7 @@ fn makespan_decreases_monotonically_with_faster_growth() {
     // paired instance across three growth fractions (same seed = same DAG
     // and initial pool; arrival columns differ, so allow tiny slack).
     let (wf, costs) = blast(80, 5);
+    let cfg = RunConfig::default();
     let mut last = f64::INFINITY;
     for frac in [0.0, 0.25, 0.5] {
         let dynamics = if frac == 0.0 {
@@ -84,7 +89,7 @@ fn makespan_decreases_monotonically_with_faster_growth() {
         } else {
             PoolDynamics::periodic_growth(6, 300.0, frac)
         };
-        let report = run_aheft(&wf.dag, &costs, &wf.costgen, &dynamics, 5);
+        let report = run_named_policy("aheft", &wf.dag, &costs, &wf.costgen, &dynamics, 5, &cfg);
         assert!(
             report.makespan <= last * 1.02,
             "fraction {frac}: {} vs previous {last}",

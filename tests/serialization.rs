@@ -81,7 +81,7 @@ fn plan_round_trips_through_json() {
 fn heft_schedule_of_fig4_serializes_losslessly() {
     let dag = aheft::workflow::sample::fig4_dag();
     let costs = aheft::workflow::sample::fig4_costs_initial();
-    let s = heft_schedule(&dag, &costs, &HeftConfig::default());
+    let s = heft_schedule(&dag, &costs, SlotPolicy::Insertion);
     let json = serde_json::to_string(&s).expect("serialize");
     let back: Schedule = serde_json::from_str(&json).expect("deserialize");
     assert_eq!(back.predicted_makespan(), s.predicted_makespan());

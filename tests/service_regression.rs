@@ -72,7 +72,6 @@ fn direct_run(
         sim_seed,
         run,
     )
-    .expect("registered policy")
 }
 
 fn single_workflow_config(seed: u64, slice: usize, policy: &str, run: RunConfig) -> ServiceConfig {
