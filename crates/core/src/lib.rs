@@ -57,12 +57,12 @@ pub use policy::{
     make_policy, run_named_policy, JitPolicy, PlannedPolicy, PolicyEvent, PolicyStats,
     SchedulingPolicy, POLICY_NAMES,
 };
-pub use recovery::{make_recovery, recovery_summary, RecoveryPolicy, RECOVERY_NAMES};
+pub use recovery::{make_recovery, RecoveryPolicy, RECOVERY_NAMES};
 pub use runner::{run_policy, ExecCtx, RunConfig, RunReport};
 pub use schedule::Schedule;
 pub use service::{
-    fairness_summary, is_fairness, make_fairness, run_service, workflow_streams, ArrivalProcess,
-    FairnessPolicy, ServiceConfig, ServiceReport, FAIRNESS_NAMES,
+    is_fairness, make_fairness, run_service, workflow_streams, ArrivalProcess, FairnessPolicy,
+    ServiceConfig, ServiceReport, FAIRNESS_NAMES,
 };
 
 // Re-export the slot policy so downstream users configure schedulers without

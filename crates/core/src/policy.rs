@@ -771,21 +771,6 @@ impl SchedulingPolicy for JitPolicy {
 pub const POLICY_NAMES: [&str; 8] =
     ["heft", "aheft", "minmin", "maxmin", "sufferage", "aheft-noinsert", "aheft-pin", "ranked-jit"];
 
-/// One-line description of a registered policy (CLI help, docs).
-pub fn policy_summary(name: &str) -> Option<&'static str> {
-    Some(match name {
-        "heft" => "static HEFT: one full plan at t=0, executed as-is",
-        "aheft" => "the paper's adaptive rescheduling (replace when better)",
-        "minmin" => "just-in-time Min-Min batch mapping (paper baseline)",
-        "maxmin" => "just-in-time Max-Min batch mapping",
-        "sufferage" => "just-in-time Sufferage batch mapping",
-        "aheft-noinsert" => "AHEFT ablation: end-of-queue slots (no insertion)",
-        "aheft-pin" => "AHEFT ablation: running jobs finish where they are",
-        "ranked-jit" => "hybrid: HEFT rank order, just-in-time placement",
-        _ => return None,
-    })
-}
-
 /// True if `name` is a registered policy.
 pub fn is_policy(name: &str) -> bool {
     POLICY_NAMES.contains(&name)
@@ -861,11 +846,9 @@ mod tests {
         for name in POLICY_NAMES {
             assert!(is_policy(name));
             assert!(make_policy(name, &cfg).is_some(), "{name} must instantiate");
-            assert!(policy_summary(name).is_some(), "{name} must be documented");
         }
         assert!(!is_policy("bogus"));
         assert!(make_policy("bogus", &cfg).is_none());
-        assert!(policy_summary("bogus").is_none());
     }
 
     #[test]

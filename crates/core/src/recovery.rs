@@ -102,17 +102,6 @@ pub fn make_recovery(name: &str) -> Option<RecoveryPolicy> {
     }
 }
 
-/// One-line description of a registered recovery policy.
-pub fn recovery_summary(name: &str) -> Option<&'static str> {
-    match name {
-        "resubmit" => Some("resubmit elsewhere: scheduling policy re-places killed jobs"),
-        "retry" => Some("retry in place after capped exponential sim-time backoff"),
-        "checkpoint" => Some("checkpoint-restart: only work since the last checkpoint is lost"),
-        "straggler" => Some("resubmit + watchdog killing jobs past k x predicted runtime"),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,10 +133,8 @@ mod tests {
     fn registry_round_trips() {
         for name in RECOVERY_NAMES {
             assert!(make_recovery(name).is_some(), "{name} constructs");
-            assert!(recovery_summary(name).is_some(), "{name} documented");
         }
         assert_eq!(make_recovery("nope"), None);
-        assert_eq!(recovery_summary("nope"), None);
         assert_eq!(make_recovery("resubmit"), Some(RecoveryPolicy::default()));
     }
 

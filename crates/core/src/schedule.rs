@@ -4,7 +4,7 @@
 //! the Executor (paper Fig. 1) — so the type lives in the substrate crate
 //! ([`aheft_gridsim::plan`]) and is aliased here where it is produced.
 
-use aheft_workflow::{CostTable, Dag, ResourceId};
+use aheft_workflow::{CostTable, ResourceId};
 
 pub use aheft_gridsim::plan::{Assignment, Plan};
 
@@ -15,22 +15,6 @@ pub type Schedule = Plan;
 /// resource has departed.
 pub fn all_resources(costs: &CostTable) -> Vec<ResourceId> {
     (0..costs.resource_count()).map(ResourceId::from).collect()
-}
-
-/// Assert (in tests/debug) that a schedule is valid for `dag` under `costs`;
-/// returns the schedule for chaining.
-pub fn debug_validated(schedule: Schedule, dag: &Dag, costs: &CostTable) -> Schedule {
-    debug_assert!(
-        {
-            let problems = schedule.validate(dag, costs);
-            if !problems.is_empty() {
-                eprintln!("invalid schedule: {problems:?}");
-            }
-            problems.is_empty()
-        },
-        "scheduler produced an invalid schedule"
-    );
-    schedule
 }
 
 #[cfg(test)]

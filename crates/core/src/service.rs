@@ -119,16 +119,6 @@ pub fn is_fairness(name: &str) -> bool {
     make_fairness(name).is_some()
 }
 
-/// One-line description of a registered fairness policy.
-pub fn fairness_summary(name: &str) -> Option<&'static str> {
-    match name {
-        "fcfs" => Some("first come, first served: strict arrival order, head-of-line blocking"),
-        "fair-share" => Some("least accumulated resource-time per tenant is admitted first"),
-        "priority" => Some("lower tenant id preempts lower-priority running workflows"),
-        _ => None,
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Configuration
 // ---------------------------------------------------------------------------
@@ -769,10 +759,8 @@ mod tests {
         for name in FAIRNESS_NAMES {
             assert!(make_fairness(name).is_some(), "{name} constructs");
             assert!(is_fairness(name), "{name} registered");
-            assert!(fairness_summary(name).is_some(), "{name} documented");
         }
         assert_eq!(make_fairness("nope"), None);
-        assert_eq!(fairness_summary("nope"), None);
         assert!(!is_fairness("FCFS"), "names are case-sensitive");
         assert_eq!(make_fairness("fcfs"), Some(FairnessPolicy::Fcfs));
     }

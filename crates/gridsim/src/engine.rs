@@ -7,7 +7,7 @@
 
 use std::cmp::{Ordering, Reverse};
 // analyzer::allow(nondeterministic-iteration): tombstone set is probed by
-// sequence number only (insert/remove/contains), never iterated.
+// sequence number only (insert/remove), never iterated.
 use std::collections::{BinaryHeap, HashSet};
 
 use crate::event::Event;
@@ -41,26 +41,12 @@ impl Ord for Scheduled {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventToken(u64);
 
-/// Tombstone count below which [`EventQueue`] never compacts. Small queues
-/// re-heapify in microseconds anyway; the threshold keeps the abort-heavy
-/// small runs on the pure O(1)-cancel path the golden traces were recorded
-/// on (compaction changes no observable behaviour, only the heap internals).
-const DEFAULT_COMPACT_MIN: usize = 1024;
-
 /// Future-event list with a logical clock.
 ///
 /// Cancellation uses **lazy tombstones**: cancelling a pending event (a job
 /// abort revoking the job's completion) is an O(1) set insertion, and the
 /// dead event is discarded when it reaches the head of the heap — no
 /// O(pending) drain-and-rebuild.
-///
-/// At scale (20k-job runs cancel tens of thousands of completion events per
-/// replan) dead entries would otherwise dominate the heap, paying O(log n)
-/// per pop for ballast. When tombstones outnumber live events (live
-/// fraction ≤ ½) **and** exceed a minimum count, [`EventQueue::cancel`]
-/// compacts: one O(n) retain-and-reheapify drops every dead entry at once.
-/// Pop order is unaffected — it is the total `(time, seq)` order, which is
-/// independent of the heap's internal layout.
 #[derive(Debug)]
 pub struct EventQueue {
     heap: BinaryHeap<Reverse<Scheduled>>,
@@ -68,15 +54,10 @@ pub struct EventQueue {
     clock: SimTime,
     processed: u64,
     /// Sequence numbers of cancelled-but-still-enqueued events.
-    /// Membership-only: pops check `contains`/`remove`; event order comes
+    /// Membership-only: pops check `remove`; event order comes
     /// from the heap, so the set's iteration order can reach nothing.
     // analyzer::allow(nondeterministic-iteration): membership-only tombstone set.
     cancelled: HashSet<u64>,
-    /// Minimum tombstone count before compaction is considered;
-    /// `usize::MAX` disables compaction (the pre-compaction behaviour).
-    compact_min: usize,
-    /// Number of compaction passes performed (observability / benches).
-    compactions: u64,
 }
 
 impl Default for EventQueue {
@@ -88,8 +69,6 @@ impl Default for EventQueue {
             processed: 0,
             // analyzer::allow(nondeterministic-iteration): membership-only tombstone set.
             cancelled: HashSet::new(),
-            compact_min: DEFAULT_COMPACT_MIN,
-            compactions: 0,
         }
     }
 }
@@ -98,20 +77,6 @@ impl EventQueue {
     /// Empty queue at time zero.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Set the minimum tombstone count before a cancellation may trigger
-    /// compaction (`usize::MAX` disables compaction entirely). Pop order is
-    /// identical for every setting; the knob exists so benches can measure
-    /// the lazy-tombstone baseline against the compacting queue.
-    pub fn set_compaction_min(&mut self, min: usize) {
-        self.compact_min = min;
-    }
-
-    /// Number of tombstone-compaction passes performed so far.
-    #[inline]
-    pub fn compactions(&self) -> u64 {
-        self.compactions
     }
 
     /// Current simulation clock: the timestamp of the last popped event.
@@ -172,20 +137,6 @@ impl EventQueue {
         }
     }
 
-    /// Timestamp of the next live event, if any. Tombstoned events at the
-    /// head are discarded.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(&Reverse(Scheduled { seq, time, .. })) = self.heap.peek() {
-            if !self.cancelled.is_empty() && self.cancelled.contains(&seq) {
-                self.heap.pop();
-                self.cancelled.remove(&seq);
-            } else {
-                return Some(time);
-            }
-        }
-        None
-    }
-
     /// Cancel the pending event identified by `token` in O(1) (e.g. a job
     /// abort revoking the job's completion event): the event is tombstoned
     /// and discarded when it surfaces.
@@ -196,27 +147,6 @@ impl EventQueue {
     pub fn cancel(&mut self, token: EventToken) {
         let inserted = self.cancelled.insert(token.0);
         debug_assert!(inserted, "event token cancelled twice");
-        self.maybe_compact();
-    }
-
-    /// Drop every tombstoned entry from the heap in one pass when the dead
-    /// entries have reached half the heap (live fraction ≤ ½) and the
-    /// minimum-count threshold. O(n) retain plus an O(n) re-heapify,
-    /// amortized O(1) per cancellation: each compaction removes at least
-    /// `compact_min` tombstones that each cost O(1) to create.
-    fn maybe_compact(&mut self) {
-        if self.cancelled.len() < self.compact_min || self.cancelled.len() * 2 < self.heap.len() {
-            return;
-        }
-        // Every tombstone refers to a still-enqueued event (the cancel
-        // contract), so retaining the live entries consumes the whole set.
-        let mut live = std::mem::take(&mut self.heap).into_vec();
-        live.retain(|&Reverse(Scheduled { seq, .. })| !self.cancelled.contains(&seq));
-        self.cancelled.clear();
-        // Rebuilding the binary heap changes only its internal layout; pops
-        // follow the total (time, seq) order either way.
-        self.heap = BinaryHeap::from(live);
-        self.compactions += 1;
     }
 }
 
@@ -255,7 +185,7 @@ mod tests {
         q.pop();
         assert_eq!(q.clock(), SimTime::new(4.0));
         q.schedule_in(1.5, Event::Wake);
-        assert_eq!(q.peek_time(), Some(SimTime::new(5.5)));
+        assert_eq!(q.pop(), Some((SimTime::new(5.5), Event::Wake)));
     }
 
     #[test]
@@ -296,68 +226,5 @@ mod tests {
         assert_eq!(t, SimTime::new(5.0));
         assert_eq!(e, Event::JobFinished { job: JobId(0) });
         assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn compaction_preserves_pop_order_and_counts() {
-        // Identical schedules/cancels through a compacting queue and a
-        // compaction-disabled one must pop the exact same event sequence.
-        let mut compacting = EventQueue::new();
-        compacting.set_compaction_min(8);
-        let mut lazy = EventQueue::new();
-        lazy.set_compaction_min(usize::MAX);
-        for q in [&mut compacting, &mut lazy] {
-            let mut tokens = Vec::new();
-            for i in 0..200u64 {
-                // Interleaved times exercise heap reordering.
-                let t = ((i * 37) % 100) as f64 + 1.0;
-                tokens.push(q.schedule(SimTime::new(t), Event::JobFinished { job: JobId(0) }));
-            }
-            for (i, tok) in tokens.into_iter().enumerate() {
-                if i % 4 != 0 {
-                    q.cancel(tok);
-                }
-            }
-        }
-        assert!(compacting.compactions() > 0, "threshold of 8 must have triggered");
-        assert_eq!(lazy.compactions(), 0);
-        assert_eq!(compacting.pending(), lazy.pending());
-        loop {
-            let a = compacting.pop();
-            let b = lazy.pop();
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-        assert_eq!(compacting.processed(), lazy.processed());
-    }
-
-    #[test]
-    fn compaction_empties_tombstone_set() {
-        let mut q = EventQueue::new();
-        q.set_compaction_min(4);
-        let toks: Vec<_> =
-            (0..10).map(|i| q.schedule(SimTime::new(f64::from(i) + 1.0), Event::Wake)).collect();
-        for tok in &toks[..8] {
-            q.cancel(*tok);
-        }
-        assert!(q.compactions() >= 1);
-        assert_eq!(q.pending(), 2);
-        // Cancelling after a compaction keeps working.
-        q.cancel(toks[8]);
-        assert_eq!(q.pending(), 1);
-        assert_eq!(q.pop().map(|(t, _)| t), Some(SimTime::new(10.0)));
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn peek_time_skips_tombstones() {
-        let mut q = EventQueue::new();
-        let tok = q.schedule(SimTime::new(1.0), Event::JobFinished { job: JobId(0) });
-        q.schedule(SimTime::new(3.0), Event::Wake);
-        q.cancel(tok);
-        assert_eq!(q.peek_time(), Some(SimTime::new(3.0)));
-        assert_eq!(q.pending(), 1);
     }
 }

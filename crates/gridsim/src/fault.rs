@@ -97,11 +97,6 @@ impl FailureModel {
             _ => None,
         }
     }
-
-    /// True when failed resources repair and rejoin the pool.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, FailureModel::Transient { .. })
-    }
 }
 
 /// Generates job-level crash faults: the job dies mid-execution but its
@@ -200,7 +195,6 @@ mod tests {
         }
         let mean = sum / 2000.0;
         assert!((60.0..140.0).contains(&mean), "sample mean {mean} far from mtbf");
-        assert!(!m.is_transient());
         assert_eq!(m.sample_downtime(&mut rng), None);
     }
 
@@ -208,7 +202,6 @@ mod tests {
     fn transient_samples_downtime() {
         let mut rng = StdRng::seed_from_u64(4);
         let m = FailureModel::Transient { mtbf: 100.0, mttr: 20.0 };
-        assert!(m.is_transient());
         assert!(m.sample_from(5.0, &mut rng).expect("always fails") >= 5.0);
         let dt = m.sample_downtime(&mut rng).expect("transient repairs");
         assert!(dt >= 0.0);

@@ -104,11 +104,6 @@ impl PoolState {
         out.extend(self.resources.iter().filter(|r| r.alive()).map(|r| r.id));
     }
 
-    /// Number of currently alive resources.
-    pub fn alive_count(&self) -> usize {
-        self.resources.iter().filter(|r| r.alive()).count()
-    }
-
     /// Register one resource joining at time `t`; returns its id.
     pub fn join(&mut self, t: f64) -> ResourceId {
         let id = ResourceId::from(self.resources.len());
@@ -180,7 +175,7 @@ mod tests {
     #[test]
     fn pool_state_join_and_leave() {
         let mut p = PoolState::new(2);
-        assert_eq!(p.alive_count(), 2);
+        assert_eq!(p.alive().len(), 2);
         let r = p.join(15.0);
         assert_eq!(r, ResourceId(2));
         assert_eq!(p.total(), 3);
@@ -188,7 +183,7 @@ mod tests {
         assert_eq!(p.alive_at(20.0).len(), 3);
         assert!(p.leave(ResourceId(0), 30.0));
         assert!(!p.leave(ResourceId(0), 31.0));
-        assert_eq!(p.alive_count(), 2);
+        assert_eq!(p.alive().len(), 2);
         assert_eq!(p.alive(), vec![ResourceId(1), ResourceId(2)]);
     }
 
@@ -198,7 +193,7 @@ mod tests {
         assert!(!p.rejoin(ResourceId(0), 5.0), "alive resource cannot rejoin");
         assert!(p.leave(ResourceId(0), 10.0));
         assert!(p.rejoin(ResourceId(0), 25.0));
-        assert_eq!(p.alive_count(), 1);
+        assert_eq!(p.alive().len(), 1);
         assert!((p.resource(ResourceId(0)).downtime - 15.0).abs() < 1e-12);
         // A second cycle accumulates.
         assert!(p.leave(ResourceId(0), 30.0));

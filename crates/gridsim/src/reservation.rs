@@ -2,7 +2,8 @@
 //!
 //! The paper's Executor "supports advance reservation of resources": upon
 //! arrival of a schedule the Resource Manager reserves the mapped slots, and
-//! revokes replaced reservations when a rescheduled plan arrives. The same
+//! revokes replaced reservations when a rescheduled plan arrives (here the
+//! planner clears and refills its tables on every pass). The same
 //! data structure also implements HEFT's *insertion-based* policy: a job may
 //! be placed into an idle gap between two reservations if the gap is long
 //! enough and starts no earlier than the job's earliest start time.
@@ -22,27 +23,12 @@ pub enum SlotPolicy {
     EndOfQueue,
 }
 
-/// One reserved interval on a resource, as yielded by
-/// [`SlotTable::reservations`]. The table itself stores reservations in
-/// structure-of-arrays layout; this view type exists for callers and tests.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Reservation {
-    /// Reserved start time.
-    pub start: f64,
-    /// Reserved end time.
-    pub end: f64,
-    /// The job holding the reservation.
-    pub job: JobId,
-}
-
 /// A single resource's reservation timeline, kept sorted by start time.
 ///
-/// Stored as **structure-of-arrays** — parallel `starts`/`ends`/`jobs`
-/// vectors — so the insertion-policy gap scan of
-/// [`SlotTable::earliest_start`], the innermost loop of every scheduling
-/// pass, streams through two contiguous `f64` arrays instead of striding
-/// over 24-byte `Reservation` records. The job ids sit in their own array
-/// because the gap scan never looks at them.
+/// Stored as **structure-of-arrays** — parallel `starts`/`ends` vectors —
+/// so the insertion-policy gap scan of [`SlotTable::earliest_start`], the
+/// innermost loop of every scheduling pass, streams through two contiguous
+/// `f64` arrays.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct SlotTable {
     /// Reservation start times, ascending.
@@ -50,8 +36,6 @@ pub struct SlotTable {
     /// Reservation end times (`ends[k]` pairs with `starts[k]`; ascending
     /// too, since reservations never overlap).
     ends: Vec<f64>,
-    /// Holder of each reservation.
-    jobs: Vec<JobId>,
 }
 
 impl SlotTable {
@@ -66,27 +50,6 @@ impl SlotTable {
     pub fn clear(&mut self) {
         self.starts.clear();
         self.ends.clear();
-        self.jobs.clear();
-    }
-
-    /// Current reservations in start-time order (materialized views over
-    /// the SoA storage).
-    pub fn reservations(&self) -> impl ExactSizeIterator<Item = Reservation> + '_ {
-        (0..self.starts.len()).map(|k| Reservation {
-            start: self.starts[k],
-            end: self.ends[k],
-            job: self.jobs[k],
-        })
-    }
-
-    /// Reservation start times in ascending order.
-    pub fn starts(&self) -> &[f64] {
-        &self.starts
-    }
-
-    /// Reservation end times, parallel to [`SlotTable::starts`].
-    pub fn ends(&self) -> &[f64] {
-        &self.ends
     }
 
     /// Earliest time at which a job of length `dur` can start, not earlier
@@ -135,39 +98,6 @@ impl SlotTable {
         );
         self.starts.insert(pos, start);
         self.ends.insert(pos, end);
-        self.jobs.insert(pos, job);
-    }
-
-    /// Revoke the reservation held by `job`, if any. Returns `true` when a
-    /// reservation was removed.
-    pub fn revoke(&mut self, job: JobId) -> bool {
-        // A job holds at most one reservation per timeline in practice;
-        // the loop keeps the removal as total as the old retain-based one.
-        let mut removed = false;
-        while let Some(k) = self.jobs.iter().position(|&j| j == job) {
-            self.starts.remove(k);
-            self.ends.remove(k);
-            self.jobs.remove(k);
-            removed = true;
-        }
-        removed
-    }
-
-    /// Revoke every reservation starting at or after `t` (used when a
-    /// rescheduled plan replaces the tail of the old one). Starts are
-    /// sorted, so the revoked set is exactly the tail of the arrays.
-    pub fn revoke_from(&mut self, t: f64) {
-        let keep = self.starts.partition_point(|&s| s < t);
-        self.starts.truncate(keep);
-        self.ends.truncate(keep);
-        self.jobs.truncate(keep);
-    }
-
-    /// Total reserved time (for utilization metrics).
-    pub fn busy_time(&self) -> f64 {
-        // analyzer::allow(float-reduction-discipline): slots are kept sorted by
-        // start time, so this busy-time fold has one canonical order.
-        self.starts.iter().zip(&self.ends).map(|(&s, &e)| e - s).sum::<f64>()
     }
 
     /// Number of reservations.
@@ -220,32 +150,14 @@ mod tests {
         t.reserve(10.0, 5.0, JobId(1));
         t.reserve(0.0, 4.0, JobId(0));
         t.reserve(4.0, 6.0, JobId(2));
-        let starts: Vec<f64> = t.reservations().map(|r| r.start).collect();
-        assert_eq!(starts, vec![0.0, 4.0, 10.0]);
-        assert_eq!(t.starts(), &[0.0, 4.0, 10.0]);
-        assert_eq!(t.ends(), &[4.0, 10.0, 15.0]);
-        assert!(t.revoke(JobId(2)));
-        assert!(!t.revoke(JobId(2)));
-        assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn revoke_from_drops_tail() {
-        let mut t = SlotTable::new();
-        t.reserve(0.0, 4.0, JobId(0));
-        t.reserve(4.0, 6.0, JobId(1));
-        t.reserve(10.0, 5.0, JobId(2));
-        t.revoke_from(4.0);
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.avail(), 4.0);
-    }
-
-    #[test]
-    fn busy_time_sums_slots() {
-        let mut t = SlotTable::new();
-        t.reserve(0.0, 4.0, JobId(0));
-        t.reserve(6.0, 2.0, JobId(1));
-        assert!((t.busy_time() - 6.0).abs() < 1e-12);
+        assert_eq!(t.len(), 3);
+        // Out-of-order reservations land sorted: the last one ends at 15,
+        // and the table is packed from 0 to 15 with no gap left.
+        assert_eq!(t.avail(), 15.0);
+        assert_eq!(t.earliest_start(0.0, 1.0, SlotPolicy::Insertion), 15.0);
+        t.clear();
+        assert!(t.is_empty());
+        assert_eq!(t.earliest_start(0.0, 1.0, SlotPolicy::Insertion), 0.0);
     }
 
     #[test]

@@ -60,11 +60,6 @@ impl SharedPool {
         self.capacity - self.free
     }
 
-    /// Resources currently leased by `tenant`.
-    pub fn leased_by(&self, tenant: usize) -> usize {
-        self.tenant_leased[tenant]
-    }
-
     /// Advance the ledger clock to `t`, accruing busy-time integrals for
     /// the interval since the last mutation.
     pub fn advance_to(&mut self, t: f64) {
@@ -108,8 +103,8 @@ impl SharedPool {
         self.free += k;
     }
 
-    /// Resource-time `tenant` has consumed up to the ledger clock
-    /// (∫ leased_by(tenant) dt).
+    /// Resource-time `tenant` has consumed up to the ledger clock (the
+    /// integral over time of the resources it leases).
     pub fn tenant_service(&self, tenant: usize) -> f64 {
         self.tenant_busy[tenant]
     }
@@ -137,9 +132,9 @@ mod tests {
         assert!(p.lease(0.0, 0, 3));
         assert!(!p.lease(1.0, 1, 2), "only one resource is free");
         assert!(p.lease(1.0, 1, 1));
-        assert_eq!((p.free(), p.leased_by(0), p.leased_by(1)), (0, 3, 1));
+        assert_eq!((p.free(), p.leased()), (0, 4));
         p.release(2.0, 0, 3);
-        assert_eq!((p.free(), p.leased_by(0)), (3, 0));
+        assert_eq!((p.free(), p.leased()), (3, 1));
     }
 
     #[test]

@@ -4,21 +4,18 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Online mean/variance accumulator (Welford's algorithm — numerically
-/// stable for long sweeps).
+/// Online mean accumulator (Welford's update — numerically stable for long
+/// sweeps).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct Running {
     n: u64,
     mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl Running {
     /// Empty accumulator.
     pub fn new() -> Self {
-        Self { n: 0, mean: 0.0, m2: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY }
+        Self { n: 0, mean: 0.0 }
     }
 
     /// Add one observation.
@@ -26,14 +23,6 @@ impl Running {
         self.n += 1;
         let d = x - self.mean;
         self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
     }
 
     /// Sample mean (0 when empty).
@@ -43,50 +32,6 @@ impl Running {
         } else {
             self.mean
         }
-    }
-
-    /// Sample variance (n−1 denominator; 0 for < 2 samples).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (NaN-free input assumed).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation.
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Merge another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &Running) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n = self.n + other.n;
-        let d = other.mean - self.mean;
-        let mean = self.mean + d * other.n as f64 / n as f64;
-        let m2 = self.m2 + other.m2 + d * d * self.n as f64 * other.n as f64 / n as f64;
-        self.n = n;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -146,46 +91,10 @@ mod tests {
     #[test]
     fn mean_and_variance() {
         let mut r = Running::new();
+        assert_eq!(r.mean(), 0.0);
         for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
             r.push(x);
         }
-        assert_eq!(r.count(), 8);
         assert!((r.mean() - 5.0).abs() < 1e-12);
-        assert!((r.variance() - 32.0 / 7.0).abs() < 1e-9);
-        assert_eq!(r.min(), 2.0);
-        assert_eq!(r.max(), 9.0);
-    }
-
-    #[test]
-    fn merge_matches_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| f64::from(i).sin() * 10.0 + 20.0).collect();
-        let mut all = Running::new();
-        for &x in &xs {
-            all.push(x);
-        }
-        let mut a = Running::new();
-        let mut b = Running::new();
-        for &x in &xs[..37] {
-            a.push(x);
-        }
-        for &x in &xs[37..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_merge_is_identity() {
-        let mut a = Running::new();
-        a.push(1.0);
-        let before = a;
-        a.merge(&Running::new());
-        assert_eq!(a, before);
-        let mut e = Running::new();
-        e.merge(&before);
-        assert_eq!(e, before);
     }
 }

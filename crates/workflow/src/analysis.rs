@@ -60,33 +60,10 @@ pub fn shape(dag: &Dag) -> ShapeSummary {
     }
 }
 
-/// `true` when the DAG has no *isolated* jobs (jobs with neither
-/// predecessors nor successors). Every job in an acyclic graph trivially
-/// lies on some entry→exit path, so isolation is the only way a job can be
-/// disconnected from the workflow's data flow. Single-job DAGs count as
-/// connected.
-pub fn is_flow_connected(dag: &Dag) -> bool {
-    dag.job_count() == 1
-        || dag.job_ids().all(|j| !dag.preds(j).is_empty() || !dag.succs(j).is_empty())
-}
-
-/// Serial fraction estimate: fraction of levels of width 1. WIEN2K's
-/// `LAPW2_FERMI` bottleneck shows up here — a wide DAG with a width-1 level
-/// between its parallel sections benefits less from added resources
-/// (paper §4.3).
-pub fn serial_level_fraction(dag: &Dag) -> f64 {
-    let widths = width_profile(dag);
-    if widths.is_empty() {
-        return 0.0;
-    }
-    widths.iter().filter(|&&w| w == 1).count() as f64 / widths.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::build::DagBuilder;
-    use crate::ids::JobId;
 
     fn fork_join(n: usize) -> Dag {
         let mut b = DagBuilder::new();
@@ -116,32 +93,5 @@ mod tests {
         assert_eq!(s.entries, 1);
         assert_eq!(s.exits, 1);
         assert!((s.avg_parallelism - 7.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn serial_fraction_detects_bottlenecks() {
-        let d = fork_join(5);
-        assert!((serial_level_fraction(&d) - 2.0 / 3.0).abs() < 1e-12);
-        let mut b = DagBuilder::new();
-        b.add_job("only");
-        let single = b.build().unwrap();
-        assert!((serial_level_fraction(&single) - 1.0).abs() < 1e-12);
-        let _ = JobId(0);
-    }
-
-    #[test]
-    fn flow_connectivity() {
-        assert!(is_flow_connected(&fork_join(3)));
-        // A DAG with an isolated job is not flow connected.
-        let mut b = DagBuilder::new();
-        let a = b.add_job("a");
-        let c = b.add_job("b");
-        b.add_job("lonely");
-        b.add_edge(a, c, 1.0).unwrap();
-        assert!(!is_flow_connected(&b.build().unwrap()));
-        // A single job is trivially connected.
-        let mut b = DagBuilder::new();
-        b.add_job("only");
-        assert!(is_flow_connected(&b.build().unwrap()));
     }
 }

@@ -377,25 +377,6 @@ impl CostTable {
             history: Vec::new(),
         }
     }
-
-    /// Measured communication-to-computation ratio: mean edge cost divided by
-    /// mean job cost over the current pool.
-    pub fn measured_ccr(&self) -> f64 {
-        if self.comm.is_empty() || self.jobs == 0 {
-            return 0.0;
-        }
-        // analyzer::allow(float-reduction-discipline): diagnostic CCR estimate
-        // over fixed-order dense arrays (edge-id / job-id order).
-        let mean_comm = self.comm.iter().sum::<f64>() / self.comm.len() as f64;
-        let mean_comp =
-            // analyzer::allow(float-reduction-discipline): same fixed job-id order.
-            (0..self.jobs).map(|i| self.avg_comp(JobId::from(i))).sum::<f64>() / self.jobs as f64;
-        if mean_comp == 0.0 {
-            0.0
-        } else {
-            mean_comm / mean_comp
-        }
-    }
 }
 
 /// Generator that remembers each job's nominal cost `ω_i` and the
@@ -651,13 +632,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn measured_ccr_matches_construction() {
-        let d = tiny_dag();
-        // mean comm = 8, mean comp = (2 + 2) / 2 = 2 => ccr = 4
-        let t = CostTable::from_dag_comm(&d, &[vec![1.0, 3.0], vec![2.0, 2.0]], 1.0).unwrap();
-        assert!((t.measured_ccr() - 4.0).abs() < 1e-12);
     }
 }

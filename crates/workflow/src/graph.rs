@@ -205,11 +205,6 @@ impl Dag {
         self.topo_pos[id.idx()] as usize
     }
 
-    /// Look up the edge between two jobs, if any.
-    pub fn edge_between(&self, src: JobId, dst: JobId) -> Option<EdgeId> {
-        self.succs(src).iter().find(|(d, _)| *d == dst).map(|&(_, e)| e)
-    }
-
     /// Sum of data volumes over all edges.
     pub fn total_data(&self) -> f64 {
         // analyzer::allow(float-reduction-discipline): edge-id order is fixed
@@ -253,14 +248,6 @@ mod tests {
         for e in d.edges() {
             assert!(d.topo_position(e.src) < d.topo_position(e.dst));
         }
-    }
-
-    #[test]
-    fn edge_between_finds_edges() {
-        let d = diamond();
-        assert!(d.edge_between(JobId(0), JobId(1)).is_some());
-        assert!(d.edge_between(JobId(1), JobId(0)).is_none());
-        assert!(d.edge_between(JobId(0), JobId(3)).is_none());
     }
 
     #[test]

@@ -29,15 +29,13 @@
 //!   §4.2 plus the BLAST, WIEN2K, Montage-like and Gaussian-elimination
 //!   application shapes of §4.3,
 //! * [`sample`] — the exact worked example of the paper's Fig. 4/5,
-//! * [`analysis`] — structural statistics (width, depth, parallelism degree),
-//! * [`dot`] — Graphviz export for inspection.
+//! * [`analysis`] — structural statistics (width, depth, parallelism degree).
 
 #![warn(missing_docs)]
 
 pub mod analysis;
 pub mod build;
 pub mod costs;
-pub mod dot;
 pub mod error;
 pub mod generators;
 pub mod graph;

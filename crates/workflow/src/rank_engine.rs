@@ -98,12 +98,6 @@ impl RankEngine {
         self.epoch
     }
 
-    /// Drop all cached state; the next [`RankEngine::update`] rebuilds
-    /// from scratch.
-    pub fn invalidate(&mut self) {
-        self.key = None;
-    }
-
     /// Bring the cached ranks up to date for `(dag, costs, alive)`,
     /// choosing the cheapest valid delta path (cache hit, column append,
     /// or full rebuild), and return the resulting [`RankEngine::epoch`].
@@ -371,20 +365,5 @@ mod tests {
         assert_ranks_exact(&engine, &dag2, &costs2, &alive);
         engine.update(&dag1, &costs1, &alive, |_| false);
         assert_ranks_exact(&engine, &dag1, &costs1, &alive);
-    }
-
-    #[test]
-    fn invalidate_forces_rebuild() {
-        let dag = diamond();
-        let costs =
-            CostTable::from_dag_comm(&dag, &[vec![3.0], vec![2.0], vec![6.0], vec![7.0]], 1.0)
-                .unwrap();
-        let alive = [ResourceId(0)];
-        let mut engine = RankEngine::new();
-        let e1 = engine.update(&dag, &costs, &alive, |_| false);
-        engine.invalidate();
-        let e2 = engine.update(&dag, &costs, &alive, |_| false);
-        assert!(e2 > e1, "a forced rebuild bumps the epoch");
-        assert_ranks_exact(&engine, &dag, &costs, &alive);
     }
 }
