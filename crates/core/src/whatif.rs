@@ -5,10 +5,32 @@
 //! > example, 'What will be the expected performance if an additional
 //! > resource A is added (removed)?'"*
 //!
-//! [`what_if`] answers exactly that: given the current execution snapshot,
-//! it returns the predicted makespan of the remaining workflow under the
-//! current pool and under a hypothetical pool with resources added or
-//! removed — without touching the running execution.
+//! A what-if answer compares two AHEFT passes over the same execution
+//! snapshot: the *baseline* on the current pool and the *hypothetical* on
+//! a pool with resources added or removed. The baseline depends only on
+//! the snapshot, the pool and the [`AheftConfig`], not on the question,
+//! so the caller runs it once with [`aheft_schedule_into`] and reuses it
+//! for every question about that state; [`what_if`] runs only the
+//! hypothetical pass and returns its predicted makespan, without touching
+//! the running execution. The query daemon (`aheft_serve`) keeps one
+//! baseline per scenario version and planning config for the same reason.
+//!
+//! ```
+//! use aheft_core::aheft::{aheft_schedule_into, AheftConfig, ScheduleWorkspace};
+//! use aheft_core::whatif::{what_if, WhatIfQuery};
+//! use aheft_gridsim::executor::Snapshot;
+//! use aheft_workflow::{sample, ResourceId};
+//!
+//! let (dag, costs) = (sample::fig4_dag(), sample::fig4_costs_initial());
+//! let (snap, alive) = (Snapshot::initial(3), vec![ResourceId(0), ResourceId(1), ResourceId(2)]);
+//! let config = AheftConfig::default();
+//! let mut ws = ScheduleWorkspace::new();
+//! let baseline = aheft_schedule_into(&dag, &costs, snap.view(), &alive, &config, &mut ws);
+//! let add_r4 = WhatIfQuery::AddResources { columns: vec![sample::fig4_r4_column()] };
+//! let hypothetical = what_if(&dag, &costs, &snap, &alive, &config, &add_r4, &mut ws).unwrap();
+//! // Fig. 4: HEFT gets *worse* with r4 (80 -> 87), and the answer says so.
+//! assert_eq!((baseline, hypothetical), (80.0, 87.0));
+//! ```
 
 use std::fmt;
 
@@ -81,36 +103,17 @@ impl fmt::Display for WhatIfError {
 
 impl std::error::Error for WhatIfError {}
 
-/// Answer to a what-if query.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WhatIfReport {
-    /// Predicted DAG completion time with the current pool.
-    pub baseline_makespan: f64,
-    /// Predicted DAG completion time under the hypothetical pool.
-    pub hypothetical_makespan: f64,
-}
-
-impl WhatIfReport {
-    /// Positive when the hypothetical change *helps* (smaller makespan).
-    pub fn gain(&self) -> f64 {
-        self.baseline_makespan - self.hypothetical_makespan
-    }
-
-    /// Relative improvement, as the paper's improvement rate.
-    pub fn improvement_rate(&self) -> f64 {
-        crate::metrics::improvement_rate(self.baseline_makespan, self.hypothetical_makespan)
-    }
-}
-
-/// Evaluate `query` against the current execution state, reusing `ws`
-/// for both scheduling passes and across repeated queries.
+/// Predict the whole-DAG makespan under the hypothetical pool `query`
+/// describes, reusing `ws` across repeated queries.
 ///
-/// `alive` is the current pool. The baseline reschedules the remaining jobs
-/// on `alive` under `config`; the hypothetical run modifies the pool as
-/// requested. Neither has side effects on the execution. To ask under a
-/// named planned policy, derive `config` with
-/// [`crate::policy::planning_config`], which answers `None` for JIT
-/// policies and unknown names.
+/// `alive` is the current pool; the hypothetical pass reschedules the
+/// remaining jobs of `snapshot` on `alive` modified as requested, under
+/// `config`, with no side effects on the execution. The answer is one
+/// AHEFT pass: compare it with the baseline, which the caller runs once
+/// per snapshot and config with [`aheft_schedule_into`] on the unmodified
+/// pool (see the module docs). To ask under a named planned policy,
+/// derive `config` with [`crate::policy::planning_config`], which answers
+/// `None` for JIT policies and unknown names.
 ///
 /// Validation happens *before* evaluation, so an `Err` leaves the
 /// workspace and scratch state exactly as found.
@@ -130,7 +133,7 @@ pub fn what_if(
     config: &AheftConfig,
     query: &WhatIfQuery,
     ws: &mut ScheduleWorkspace,
-) -> Result<WhatIfReport, WhatIfError> {
+) -> Result<f64, WhatIfError> {
     let (add, remove) = query.parts();
     for &r in remove {
         if !alive.contains(&r) {
@@ -158,7 +161,6 @@ pub fn what_if(
         return Err(WhatIfError::EmptyPool);
     }
 
-    let baseline = aheft_schedule_into(dag, costs, snapshot.view(), alive, config, ws);
     let hypothetical = if add.is_empty() {
         // Pool shrink only: the base table is untouched, only the alive set
         // changes (built in the cached scratch buffer).
@@ -192,8 +194,8 @@ pub fn what_if(
         }
         let view2 = snapshot.view_with_avail(&avail2);
         let m = aheft_schedule_into(dag, &table, view2, &alive2, config, ws);
-        // Pop the appends: the scratch returns to the base state id, so the
-        // rank cache warmed by the baseline pass stays append-reachable.
+        // Pop the appends: the scratch returns to the base state id, so a
+        // rank cache warmed on the base table stays append-reachable.
         let restored = table.truncate_resources(base_resources);
         debug_assert!(restored, "appends are always on the scratch lineage");
         ws.whatif_table = Some(table);
@@ -201,7 +203,7 @@ pub fn what_if(
         ws.whatif_avail = avail2;
         m
     };
-    Ok(WhatIfReport { baseline_makespan: baseline, hypothetical_makespan: hypothetical })
+    Ok(hypothetical)
 }
 
 #[cfg(test)]
@@ -213,17 +215,20 @@ mod tests {
         (0..n).map(ResourceId::from).collect()
     }
 
-    /// One query on a fresh workspace against the initial snapshot of an
-    /// `n`-resource pool.
+    /// One question on a fresh workspace against the initial snapshot of an
+    /// `n`-resource pool: `(baseline, hypothetical)` makespans.
     fn cold(
         dag: &Dag,
         costs: &CostTable,
         n: usize,
         config: &AheftConfig,
         query: &WhatIfQuery,
-    ) -> Result<WhatIfReport, WhatIfError> {
+    ) -> Result<(f64, f64), WhatIfError> {
         let mut ws = ScheduleWorkspace::new();
-        what_if(dag, costs, &Snapshot::initial(n), &alive(n), config, query, &mut ws)
+        let snap = Snapshot::initial(n);
+        let baseline = aheft_schedule_into(dag, costs, snap.view(), &alive(n), config, &mut ws);
+        let hypothetical = what_if(dag, costs, &snap, &alive(n), config, query, &mut ws)?;
+        Ok((baseline, hypothetical))
     }
 
     #[test]
@@ -235,7 +240,7 @@ mod tests {
         // management insight §3.3 wants the planner to provide.
         let dag = sample::fig4_dag();
         let costs = sample::fig4_costs_initial();
-        let report = cold(
+        let (baseline, hypothetical) = cold(
             &dag,
             &costs,
             3,
@@ -243,9 +248,9 @@ mod tests {
             &WhatIfQuery::AddResources { columns: vec![sample::fig4_r4_column()] },
         )
         .unwrap();
-        assert!((report.baseline_makespan - 80.0).abs() < 1e-9);
-        assert!((report.hypothetical_makespan - 87.0).abs() < 1e-9);
-        assert!(report.gain() < 0.0);
+        assert!((baseline - 80.0).abs() < 1e-9);
+        assert!((hypothetical - 87.0).abs() < 1e-9);
+        assert!(baseline - hypothetical < 0.0);
     }
 
     #[test]
@@ -257,7 +262,7 @@ mod tests {
         let dag = b.build().unwrap();
         let costs =
             aheft_workflow::CostTable::from_dag_comm(&dag, &vec![vec![10.0]; 8], 1.0).unwrap();
-        let report = cold(
+        let (baseline, hypothetical) = cold(
             &dag,
             &costs,
             1,
@@ -265,9 +270,9 @@ mod tests {
             &WhatIfQuery::AddResources { columns: vec![vec![10.0; 8]] },
         )
         .unwrap();
-        assert!((report.baseline_makespan - 80.0).abs() < 1e-9);
-        assert!((report.hypothetical_makespan - 40.0).abs() < 1e-9);
-        assert!((report.improvement_rate() - 0.5).abs() < 1e-9);
+        assert!((baseline - 80.0).abs() < 1e-9);
+        assert!((hypothetical - 40.0).abs() < 1e-9);
+        assert!((crate::metrics::improvement_rate(baseline, hypothetical) - 0.5).abs() < 1e-9);
     }
 
     #[test]
@@ -275,7 +280,7 @@ mod tests {
         let dag = sample::fig4_dag();
         let costs = sample::fig4_costs_initial();
         for r in 0..3u32 {
-            let report = cold(
+            let (baseline, hypothetical) = cold(
                 &dag,
                 &costs,
                 3,
@@ -283,11 +288,7 @@ mod tests {
                 &WhatIfQuery::RemoveResource(ResourceId(r)),
             )
             .unwrap();
-            assert!(
-                report.hypothetical_makespan >= report.baseline_makespan - 1e-9,
-                "removing r{} should not help",
-                r + 1
-            );
+            assert!(hypothetical >= baseline - 1e-9, "removing r{} should not help", r + 1);
         }
     }
 
@@ -301,7 +302,7 @@ mod tests {
         let dag = sample::fig4_dag();
         let costs = sample::fig4_costs_initial();
         let slow = vec![10_000.0; 10];
-        let report = cold(
+        let (baseline, hypothetical) = cold(
             &dag,
             &costs,
             3,
@@ -311,7 +312,7 @@ mod tests {
         .unwrap();
         // Rank order may shift, but the schedule cannot be forced onto the
         // slow resource; allow small regressions only.
-        assert!(report.hypothetical_makespan <= report.baseline_makespan * 1.25);
+        assert!(hypothetical <= baseline * 1.25);
     }
 
     #[test]
@@ -328,14 +329,14 @@ mod tests {
         };
         // Planned policies answer; the ablation variant evaluates under
         // its own (end-of-queue) slot policy and may differ from AHEFT's.
-        let aheft = ask("aheft", &cfg);
-        assert!((aheft.baseline_makespan - 80.0).abs() < 1e-9);
+        let (aheft_baseline, _) = ask("aheft", &cfg);
+        assert!((aheft_baseline - 80.0).abs() < 1e-9);
         assert_eq!(
             planning_config("aheft-noinsert", &cfg).map(|c| c.slot_policy),
             Some(crate::SlotPolicy::EndOfQueue)
         );
-        let noinsert = ask("aheft-noinsert", &cfg);
-        assert!(noinsert.baseline_makespan >= 80.0 - 1e-9);
+        let (noinsert_baseline, noinsert) = ask("aheft-noinsert", &cfg);
+        assert!(noinsert_baseline >= 80.0 - 1e-9);
         // The caller's scheduling config flows through: "aheft" with an
         // end-of-queue cfg must answer exactly like "aheft-noinsert" with
         // the default cfg (same derivation as make_policy).
@@ -346,11 +347,8 @@ mod tests {
             },
             ..Default::default()
         };
-        let aheft_eoq = ask("aheft", &eoq_cfg);
-        assert_eq!(
-            aheft_eoq.hypothetical_makespan.to_bits(),
-            noinsert.hypothetical_makespan.to_bits()
-        );
+        let (_, aheft_eoq) = ask("aheft", &eoq_cfg);
+        assert_eq!(aheft_eoq.to_bits(), noinsert.to_bits());
         // JIT policies keep no plan: no hypothetical to evaluate. Neither
         // do unknown names.
         for name in ["minmin", "ranked-jit", "bogus"] {
@@ -373,8 +371,8 @@ mod tests {
             add: vec![sample::fig4_r4_column()],
             remove: vec![ResourceId(0)],
         };
-        let report = cold(&dag, &costs, 3, &cfg, &query).unwrap();
-        assert!((report.baseline_makespan - 80.0).abs() < 1e-9);
+        let (baseline, hypothetical) = cold(&dag, &costs, 3, &cfg, &query).unwrap();
+        assert!((baseline - 80.0).abs() < 1e-9);
         let mut costs2 = sample::fig4_costs_initial();
         let id = costs2.add_resource(&sample::fig4_r4_column()).unwrap();
         let alive2 = vec![ResourceId(1), ResourceId(2), id];
@@ -383,7 +381,7 @@ mod tests {
         let mut ws = ScheduleWorkspace::new();
         let view = snap.view_with_avail(&avail2);
         let manual = aheft_schedule_into(&dag, &costs2, view, &alive2, &cfg, &mut ws);
-        assert_eq!(report.hypothetical_makespan.to_bits(), manual.to_bits());
+        assert_eq!(hypothetical.to_bits(), manual.to_bits());
     }
 
     #[test]
@@ -391,8 +389,9 @@ mod tests {
         let dag = sample::fig4_dag();
         let costs = sample::fig4_costs_initial();
         let query = WhatIfQuery::Modify { add: vec![], remove: vec![] };
-        let report = cold(&dag, &costs, 3, &AheftConfig::default(), &query).unwrap();
-        assert_eq!(report.baseline_makespan.to_bits(), report.hypothetical_makespan.to_bits());
+        let (baseline, hypothetical) =
+            cold(&dag, &costs, 3, &AheftConfig::default(), &query).unwrap();
+        assert_eq!(baseline.to_bits(), hypothetical.to_bits());
     }
 
     #[test]
@@ -425,8 +424,7 @@ mod tests {
         // unchanged.
         let ok =
             ask(WhatIfQuery::AddResources { columns: vec![sample::fig4_r4_column()] }).unwrap();
-        assert!((ok.baseline_makespan - 80.0).abs() < 1e-9);
-        assert!((ok.hypothetical_makespan - 87.0).abs() < 1e-9);
+        assert!((ok - 87.0).abs() < 1e-9);
     }
 
     #[test]
@@ -434,7 +432,7 @@ mod tests {
         // Every current resource leaves, one new one joins: pool non-empty.
         let dag = sample::fig4_dag();
         let costs = sample::fig4_costs_initial();
-        let report = cold(
+        let (_, hypothetical) = cold(
             &dag,
             &costs,
             3,
@@ -445,13 +443,14 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(report.hypothetical_makespan.is_finite());
+        assert!(hypothetical.is_finite());
     }
 
     #[test]
     fn warm_scratch_reuse_is_bit_identical_to_fresh_workspaces() {
         // The scratch-table path must answer exactly like a cold evaluation,
-        // across repeated and alternating query shapes.
+        // across repeated and alternating query shapes, whether or not the
+        // baseline pass ran on the same workspace first.
         let dag = sample::fig4_dag();
         let costs = sample::fig4_costs_initial();
         let snap = Snapshot::initial(3);
@@ -466,12 +465,13 @@ mod tests {
             WhatIfQuery::AddResources { columns: vec![sample::fig4_r4_column()] },
         ];
         let mut warm = ScheduleWorkspace::new();
+        let baseline = aheft_schedule_into(&dag, &costs, snap.view(), &alive(3), &cfg, &mut warm);
         for _ in 0..3 {
             for q in &queries {
                 let w = what_if(&dag, &costs, &snap, &alive(3), &cfg, q, &mut warm).unwrap();
-                let cold = cold(&dag, &costs, 3, &cfg, q).unwrap();
-                assert_eq!(w.baseline_makespan.to_bits(), cold.baseline_makespan.to_bits());
-                assert_eq!(w.hypothetical_makespan.to_bits(), cold.hypothetical_makespan.to_bits());
+                let (cold_baseline, cold) = cold(&dag, &costs, 3, &cfg, q).unwrap();
+                assert_eq!(baseline.to_bits(), cold_baseline.to_bits());
+                assert_eq!(w.to_bits(), cold.to_bits());
             }
         }
     }

@@ -10,16 +10,18 @@
 //!   counter. `apply-delta` publishes a *new* version copy-on-write;
 //!   in-flight readers keep their `Arc` and never stall.
 //! * [`protocol`] frames line-delimited JSON queries (`whatif`, `place`,
-//!   `replan`, `delta`, `info`) and renders responses with a fixed field
-//!   order, so identical answers are identical bytes.
+//!   `replan`, `delta`, `info`, `stats`) and renders responses with a
+//!   fixed field order, so identical answers are identical bytes.
 //! * [`engine::QueryEngine`] evaluates batches: every worker owns a
 //!   persistent [`aheft_core::aheft::ScheduleWorkspace`] (warm rank cache
 //!   and row-major mirror keyed on `CostTable::state_id`), repeated
 //!   queries against one scenario version hit a per-version response
-//!   cache, and cache misses fan out over
+//!   cache, the current-pool plan runs once per version and planning
+//!   config, and cache misses fan out over
 //!   [`aheft_parcomp::par_map_chunked`].
 //! * [`server`] runs the loop over stdin/stdout or a TCP listener
-//!   (hand-rolled framing on `std::net`; vendored deps only).
+//!   (hand-rolled framing on `std::net`, `TCP_NODELAY` on every
+//!   connection; vendored deps only).
 //!
 //! Responses are a pure function of `(scenario version, query)`, so the
 //! response stream is byte-identical regardless of batch size, arrival

@@ -16,9 +16,15 @@
 //! {"id":6,"op":"delta","event":"left","resource":1}
 //! {"id":7,"op":"delta","event":"clock","clock":520.0}
 //! {"id":8,"op":"info"}
+//! {"id":9,"op":"stats"}
 //! ```
 //!
 //! Responses: `{"id":N,"ok":true,...}` or `{"id":N,"ok":false,"error":"…"}`.
+//! `stats` answers with the current `version`, then the engine-lifetime
+//! counters: `requests` (an object of per-op counts: `whatif`, `place`,
+//! `replan`, `delta`, `info`, `stats`), cache `hits` and `misses`, current
+//! cache `entries`, AHEFT `passes` run, `deltas` applied and `ok:false`
+//! answers (`errors`).
 
 use aheft_workflow::{JobId, ResourceId};
 use serde::Value;
@@ -53,8 +59,8 @@ pub enum Op {
         /// The job to look up.
         job: JobId,
     },
-    /// Run a full planning pass; report predicted makespan and an
-    /// assignment fingerprint.
+    /// Report the predicted makespan and an assignment fingerprint of the
+    /// plan on the current pool.
     Replan {
         /// Planned policy name (default `"aheft"`).
         policy: String,
@@ -63,6 +69,8 @@ pub enum Op {
     Delta(Delta),
     /// Report the current scenario dimensions.
     Info,
+    /// Report the engine's counters (barrier, never cached).
+    Stats,
 }
 
 impl Request {
@@ -100,6 +108,7 @@ impl Request {
             "replan" => Op::Replan { policy: policy()? },
             "delta" => Op::Delta(parse_delta(&v).map_err(fail)?),
             "info" => Op::Info,
+            "stats" => Op::Stats,
             other => return Err(fail(format!("unknown op {other:?}"))),
         };
         Ok(Request { id, op })
@@ -271,7 +280,8 @@ pub fn push_json_string(out: &mut String, s: &str) {
 
 /// Canonical cache key of a read-only [`Op`]: a pure function of the
 /// query *semantics* (ids and textual float variants normalise away), so
-/// two lines asking the same question share one cache entry.
+/// two lines asking the same question share one cache entry. `None` for
+/// the ops that are never cached (`delta`, `stats`).
 pub fn cache_key(op: &Op) -> Option<String> {
     let mut key = String::new();
     match op {
@@ -304,7 +314,7 @@ pub fn cache_key(op: &Op) -> Option<String> {
             key.push_str(policy);
         }
         Op::Info => key.push('i'),
-        Op::Delta(_) => return None,
+        Op::Delta(_) | Op::Stats => return None,
     }
     Some(key)
 }
@@ -338,6 +348,9 @@ mod tests {
         assert!(matches!(r.op, Op::Delta(Delta::JobFinished { .. })));
         let r = Request::parse(r#"{"id":5,"op":"info"}"#).unwrap();
         assert!(matches!(r.op, Op::Info));
+        let r = Request::parse(r#"{"id":6,"op":"stats"}"#).unwrap();
+        assert!(matches!(r.op, Op::Stats));
+        assert_eq!(cache_key(&r.op), None);
     }
 
     #[test]

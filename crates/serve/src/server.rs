@@ -3,10 +3,9 @@
 //! and none is needed: the engine batches and fans out internally).
 
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
 
 use crate::engine::QueryEngine;
-use crate::protocol::{error_tail, push_response};
 
 /// Longest request line [`serve_stream`] buffers, newline excluded. A
 /// `joined` delta at v=1000 is about 6 KB, so this is far above any real
@@ -56,7 +55,7 @@ pub fn serve_stream<R: BufRead, W: Write>(
             out.clear();
             engine.process_batch(pending.iter().map(String::as_str), &mut out);
             if let Some(msg) = &rejected {
-                push_response(&mut out, 0, &error_tail(msg));
+                engine.reject(msg, &mut out);
             }
             output.write_all(out.as_bytes())?;
             output.flush()?;
@@ -93,13 +92,21 @@ pub fn serve_tcp(engine: &QueryEngine, addr: &str, batch: usize) -> io::Result<(
     eprintln!("served: listening on {}", listener.local_addr()?);
     for conn in listener.incoming() {
         let stream = conn?;
-        let peer = stream.peer_addr()?;
-        let reader = BufReader::new(stream.try_clone()?);
-        if let Err(e) = serve_stream(engine, batch, reader, &stream) {
+        if let Err(e) = serve_connection(engine, batch, &stream) {
+            let peer = stream.peer_addr().map(|a| a.to_string()).unwrap_or_default();
             eprintln!("served: connection {peer} dropped: {e}");
         }
     }
     Ok(())
+}
+
+/// Serve one accepted connection with Nagle's algorithm off: a response
+/// written while an earlier one is still unacknowledged goes out at once
+/// instead of waiting for the client's delayed ACK.
+fn serve_connection(engine: &QueryEngine, batch: usize, stream: &TcpStream) -> io::Result<()> {
+    stream.set_nodelay(true)?;
+    let reader = BufReader::new(stream.try_clone()?);
+    serve_stream(engine, batch, reader, stream)
 }
 
 #[cfg(test)]
@@ -157,5 +164,28 @@ mod tests {
             serve_stream(&engine(), 1, valid.as_bytes(), &mut clean).unwrap();
             assert_eq!(format!("{}\n", lines[3]).as_bytes(), clean.as_slice());
         }
+    }
+
+    #[test]
+    fn tcp_connections_are_served_with_nodelay() {
+        use std::net::Shutdown;
+        let engine = QueryEngine::new(
+            ScenarioParams { jobs: 40, resources: 4, seed: 3, finished: 0.5 }.build(),
+            1,
+        );
+        let input = "{\"id\":1,\"op\":\"info\"}\n{\"id\":2,\"op\":\"replan\"}\n";
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (conn, _) = listener.accept().unwrap();
+        client.write_all(input.as_bytes()).unwrap();
+        client.shutdown(Shutdown::Write).unwrap();
+        serve_connection(&engine, 1, &conn).unwrap();
+        assert!(conn.nodelay().unwrap(), "Nagle's algorithm is still on");
+        drop(conn);
+        let mut answers = Vec::new();
+        client.read_to_end(&mut answers).unwrap();
+        let mut want = Vec::new();
+        serve_stream(&engine, 1, input.as_bytes(), &mut want).unwrap();
+        assert_eq!(answers, want);
     }
 }

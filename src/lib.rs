@@ -59,7 +59,7 @@ pub mod prelude {
         make_fairness, run_service, ArrivalProcess, FairnessPolicy, ServiceConfig, ServiceReport,
         FAIRNESS_NAMES,
     };
-    pub use aheft_core::whatif::{what_if, WhatIfError, WhatIfQuery, WhatIfReport};
+    pub use aheft_core::whatif::{what_if, WhatIfError, WhatIfQuery};
     pub use aheft_core::{DynamicHeuristic, SlotPolicy};
     pub use aheft_gridsim::pool::PoolDynamics;
     pub use aheft_workflow::generators::blast::AppDagParams;

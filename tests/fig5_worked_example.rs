@@ -76,7 +76,7 @@ fn what_if_answers_match_heft_over_grown_pool() {
     let (dag, costs, _) = setup();
     let full = sample::fig4_costs_full();
     let heft4 = heft_schedule(&dag, &full, SlotPolicy::Insertion);
-    let report = what_if(
+    let hypothetical = what_if(
         &dag,
         &costs,
         &Snapshot::initial(3),
@@ -86,5 +86,5 @@ fn what_if_answers_match_heft_over_grown_pool() {
         &mut ScheduleWorkspace::new(),
     )
     .expect("well-formed query");
-    assert!((report.hypothetical_makespan - heft4.predicted_makespan()).abs() < 1e-9);
+    assert!((hypothetical - heft4.predicted_makespan()).abs() < 1e-9);
 }

@@ -34,10 +34,11 @@ fn engine(threads: usize) -> QueryEngine {
 
 /// The query alphabet: `kind` indexes pick deterministic request lines,
 /// mixing every read op, cache-hitting repeats, state-changing deltas,
-/// rejected requests, and unparsable garbage.
+/// rejected requests, unparsable garbage, and `stats` (whose counters must
+/// not depend on batching or workers either).
 fn line_for(kind: usize, i: usize) -> String {
     let id = i as u64 + 1;
-    match kind % 10 {
+    match kind % ALPHABET {
         0 => format!(r#"{{"id":{id},"op":"info"}}"#),
         1 => format!(r#"{{"id":{id},"op":"replan"}}"#),
         2 => format!(r#"{{"id":{id},"op":"replan","policy":"heft"}}"#),
@@ -54,9 +55,13 @@ fn line_for(kind: usize, i: usize) -> String {
         6 => format!(r#"{{"id":{id},"op":"place","job":{}}}"#, (i * 7) % JOBS),
         7 => format!(r#"{{"id":{id},"op":"delta","event":"clock","clock":{}}}"#, 600 + i),
         8 => format!(r#"{{"id":{id},"op":"whatif","policy":"minmin"}}"#),
+        9 => format!(r#"{{"id":{id},"op":"stats"}}"#),
         _ => format!("garbage line {id}"),
     }
 }
+
+/// Number of line kinds [`line_for`] draws from.
+const ALPHABET: usize = 11;
 
 /// The reference stream: a fresh sequential engine fed one line at a time.
 fn golden_run(lines: &[String]) -> String {
@@ -94,7 +99,7 @@ proptest! {
         (seed, n, ncuts) in (0u64..1_000_000, 1usize..32, 1usize..5)
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let kinds: Vec<usize> = (0..n).map(|_| rng.random_range(0..10)).collect();
+        let kinds: Vec<usize> = (0..n).map(|_| rng.random_range(0..ALPHABET)).collect();
         let cuts: Vec<usize> = (0..ncuts).map(|_| rng.random_range(1..6)).collect();
         let lines: Vec<String> =
             kinds.iter().enumerate().map(|(i, &k)| line_for(k, i)).collect();
