@@ -5,6 +5,8 @@
 
 use std::path::PathBuf;
 
+use aheft_parcomp::MAX_THREADS;
+
 use crate::scale::Scale;
 use crate::sweep::{Shard, SweepConfig};
 
@@ -72,7 +74,8 @@ pub fn usage() -> String {
          artifacts: {} all\n\
          policies:  {}\n\
          fairness:  {}\n\
-         --threads N   worker threads for the case sweep (default: all cores)\n\
+         --threads N   worker threads for the case sweep, at most {MAX_THREADS}\n\
+        \x20              (default: all cores)\n\
          --shard i/m   compute only table rows with index ≡ i (mod m) — split\n\
         \x20              one artifact across m independent processes; taking\n\
         \x20              row j of each table from shard j mod m rebuilds the\n\
@@ -165,6 +168,9 @@ pub fn parse_args(args: Vec<String>) -> Result<Args, String> {
                     v.parse().map_err(|_| format!("--threads expects a number, got '{v}'"))?;
                 if n == 0 {
                     return Err("--threads must be >= 1".into());
+                }
+                if n > MAX_THREADS {
+                    return Err(format!("--threads must be at most {MAX_THREADS}, got {n}"));
                 }
                 sweep.threads = n;
             }
@@ -293,6 +299,9 @@ mod tests {
         assert_eq!(a.artifacts, vec!["table3"]);
         assert!(parse(&["--threads", "0"]).is_err());
         assert!(parse(&["--threads", "four"]).is_err());
+        assert_eq!(parse(&["--threads", "256"]).unwrap().sweep.threads, MAX_THREADS);
+        let err = parse(&["--threads", "257"]).unwrap_err();
+        assert!(err.contains("at most 256"), "error should name the limit: {err}");
         assert!(parse(&["--shard", "2/2"]).is_err());
         assert!(parse(&["--shard", "nope"]).is_err());
     }

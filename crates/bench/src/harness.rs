@@ -29,10 +29,9 @@ use aheft_workflow::generators::random::RandomDagParams;
 use aheft_workflow::generators::{blast, gauss, montage, random, wien2k, GeneratedWorkflow};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Which workload generator a case uses.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Workload {
     /// Parametric random DAG (§4.2).
     Random(RandomDagParams),
@@ -71,7 +70,7 @@ impl Workload {
 }
 
 /// One grid scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Case {
     /// The workload generator and its parameters.
     pub workload: Workload,
@@ -107,7 +106,7 @@ impl Case {
 }
 
 /// Makespans of the three strategies on one case (same grid for all).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CaseResult {
     /// Static HEFT makespan.
     pub heft: f64,
@@ -159,7 +158,7 @@ pub fn run_case(case: &Case, with_minmin: bool) -> CaseResult {
 /// One named policy's makespan on a case, paired with the static-HEFT
 /// baseline on the *same* generated grid (the paper's methodology extended
 /// to the whole policy registry).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PolicyCaseResult {
     /// Makespan of the named policy.
     pub makespan: f64,
@@ -192,7 +191,7 @@ pub fn run_policy_case(case: &Case, policy: &str) -> PolicyCaseResult {
 /// policy on the *same* grid with faults disabled (the chaos analogue of
 /// the paper's paired methodology: the degradation column isolates what
 /// the failures cost, not what the workload costs).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RobustnessCaseResult {
     /// Makespan under fault injection.
     pub makespan: f64,

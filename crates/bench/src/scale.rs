@@ -1,9 +1,7 @@
 //! Experiment scale selection.
 
-use serde::{Deserialize, Serialize};
-
 /// How much of the paper's parameter grid an experiment covers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scale {
     /// A minute's worth of cases: used by integration tests and CI. Sweeps
     /// the interesting axis with minimal averaging over the others.

@@ -53,7 +53,6 @@ use aheft_gridsim::reservation::{SlotPolicy, SlotTable};
 use aheft_workflow::rank::priority_order_from_ranks_into;
 use aheft_workflow::rank_engine::RankEngine;
 use aheft_workflow::{CostTable, Dag, EdgeId, JobId, ResourceId};
-use serde::{Deserialize, Serialize};
 
 /// Cell count (`jobs · total_resources`) from which a pass builds the
 /// row-major cost mirror: below it the column-major table fits low cache
@@ -61,7 +60,7 @@ use serde::{Deserialize, Serialize};
 pub const MIRROR_MIN_CELLS: usize = 1 << 19;
 
 /// Which not-yet-finished jobs a reschedule may move.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReschedulableSet {
     /// Paper semantics: every unfinished job is rescheduled; running jobs
     /// are aborted (their progress is lost) and restarted per the new plan.
@@ -73,7 +72,7 @@ pub enum ReschedulableSet {
 }
 
 /// AHEFT configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AheftConfig {
     /// Slot search policy; [`SlotPolicy::Insertion`] reproduces HEFT \[19\].
     pub slot_policy: SlotPolicy,

@@ -30,7 +30,7 @@
 //!   on its leased slice,
 //! * [`whatif`] — the "What…if…" evaluation API sketched in §3.3 (predicted
 //!   makespan when a resource is added/removed),
-//! * [`metrics`] — makespan, SLR, speedup, improvement rate, utilization.
+//! * [`metrics`] — makespan, SLR, improvement rate.
 
 #![warn(missing_docs)]
 

@@ -4,12 +4,10 @@
 //! * **improvement rate** — the paper's headline metric:
 //!   `(makespan_HEFT − makespan_AHEFT) / makespan_HEFT`,
 //! * **SLR** (schedule length ratio) — makespan normalised by the
-//!   average-cost critical path (standard in the HEFT literature),
-//! * **speedup** — best sequential single-resource time over makespan,
-//! * **utilization** — busy fraction of the pool over the run.
+//!   average-cost critical path (standard in the HEFT literature).
 
 use aheft_workflow::rank::critical_path;
-use aheft_workflow::{CostTable, Dag, JobId, ResourceId};
+use aheft_workflow::{CostTable, Dag};
 
 /// The paper's improvement rate of `new` over `base`:
 /// `(base − new) / base`. Positive = `new` is better. Zero when `base` is 0.
@@ -42,42 +40,6 @@ pub fn schedule_length_ratio(dag: &Dag, costs: &CostTable, makespan: f64) -> f64
     }
 }
 
-/// Speedup: the fastest *sequential* execution (all jobs on the single best
-/// resource, no communication) divided by the schedule makespan.
-pub fn speedup(dag: &Dag, costs: &CostTable, makespan: f64) -> f64 {
-    if makespan == 0.0 {
-        return 0.0;
-    }
-    let best_seq = (0..costs.resource_count())
-        // analyzer::allow(float-reduction-discipline): per-resource total in
-        // ascending job-id order — fixed, and reported in CSVs via speedup.
-        .map(|r| dag.job_ids().map(|j| costs.comp(j, ResourceId::from(r))).sum::<f64>())
-        .fold(f64::INFINITY, f64::min);
-    if best_seq.is_finite() {
-        best_seq / makespan
-    } else {
-        0.0
-    }
-}
-
-/// Pool utilization: total busy time across completed intervals divided by
-/// `resources × makespan`. `intervals` are `(job, resource, start, finish)`
-/// tuples (see `aheft_gridsim::trace::Trace::completed_intervals`).
-pub fn utilization(
-    intervals: &[(JobId, ResourceId, f64, f64)],
-    resources: usize,
-    makespan: f64,
-) -> f64 {
-    if resources == 0 || makespan <= 0.0 {
-        return 0.0;
-    }
-    // analyzer::allow(float-reduction-discipline): busy-time fold over the
-    // trace's completion-ordered intervals — the order is part of the trace
-    // fingerprint the differential suites pin.
-    let busy: f64 = intervals.iter().map(|&(_, _, s, f)| f - s).sum::<f64>();
-    busy / (resources as f64 * makespan)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,22 +65,5 @@ mod tests {
         // Critical path (average costs) of the sample DAG is rank_u(n1) = 108.
         let slr = schedule_length_ratio(&dag, &costs, 80.0);
         assert!((slr - 80.0 / 108.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn speedup_uses_best_single_resource() {
-        let dag = sample::fig4_dag();
-        let costs = sample::fig4_costs_initial();
-        // Sequential sums: r1 = 127, r2 = 130, r3 = 143 -> best 127.
-        let s = speedup(&dag, &costs, 80.0);
-        assert!((s - 127.0 / 80.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn utilization_bounds() {
-        let iv = vec![(JobId(0), ResourceId(0), 0.0, 10.0), (JobId(1), ResourceId(1), 0.0, 5.0)];
-        let u = utilization(&iv, 2, 10.0);
-        assert!((u - 15.0 / 20.0).abs() < 1e-12);
-        assert_eq!(utilization(&iv, 0, 10.0), 0.0);
     }
 }

@@ -15,10 +15,9 @@
 
 use aheft_gridsim::executor::ExecState;
 use aheft_workflow::{CostTable, Dag, JobId, ResourceId};
-use serde::{Deserialize, Serialize};
 
 /// Which batch heuristic the dynamic executor applies to the ready set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DynamicHeuristic {
     /// Repeatedly assign the (job, resource) pair with the globally minimum
     /// completion time — the paper's dynamic baseline.

@@ -25,13 +25,12 @@
 use aheft_gridsim::event::Event;
 use aheft_gridsim::executor::{Snapshot, SnapshotView};
 use aheft_workflow::{CostTable, Dag, ResourceId};
-use serde::{Deserialize, Serialize};
 
 use crate::aheft::{aheft_schedule_into, AheftConfig, RescheduleOutcome, ScheduleWorkspace};
 use crate::schedule::all_resources;
 
 /// When the planner evaluates a reschedule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum ReschedulePolicy {
     /// Evaluate on every resource-pool change (the paper's strategy).
     #[default]

@@ -9,11 +9,9 @@
 //! ([`runner`](crate::runner)) so every scheduling policy gets them for
 //! free.
 
-use serde::{Deserialize, Serialize};
-
 /// What to do with a job killed by a fault (resource failure, crash fault,
 /// or straggler kill).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RecoveryPolicy {
     /// Resubmit elsewhere: the killed job goes back to the ready set and
     /// the scheduling policy re-decides its placement (planned policies

@@ -42,7 +42,6 @@ use aheft_gridsim::trace::{Trace, TraceEvent};
 use aheft_workflow::{CostGenerator, CostTable, Dag, EdgeId, JobId, ResourceId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::aheft::AheftConfig;
 use crate::planner::ReschedulePolicy;
@@ -61,7 +60,7 @@ const FAULT_STREAM_TAG: u64 = 0xFA17;
 const MAX_CRASHES_PER_JOB: u32 = 64;
 
 /// Full run configuration (paper defaults via [`Default`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunConfig {
     /// AHEFT scheduling configuration (slot policy, running-job handling).
     pub aheft: AheftConfig,

@@ -57,7 +57,6 @@ use aheft_gridsim::share::SharedPool;
 use aheft_workflow::generators::random::{self, RandomDagParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::policy::{is_policy, run_named_policy, POLICY_NAMES};
 use crate::runner::{RunConfig, RunReport};
@@ -88,7 +87,7 @@ pub fn workflow_streams(seed: u64, index: u64) -> (u64, u64, u64) {
 // ---------------------------------------------------------------------------
 
 /// How the admission layer picks the next workflow for a free slice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FairnessPolicy {
     /// Strict arrival order; the queue head blocks everyone behind it.
     Fcfs,
@@ -124,7 +123,7 @@ pub fn is_fairness(name: &str) -> bool {
 // ---------------------------------------------------------------------------
 
 /// How workflow arrival times are generated.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ArrivalProcess {
     /// Poisson arrivals: i.i.d. `Exp(1/rate)` interarrival gaps.
     Poisson {
@@ -189,7 +188,7 @@ impl Default for ServiceConfig {
 
 /// One record of the service-level trace (always recorded; it is small —
 /// a handful of events per workflow).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ServiceEvent {
     /// A workflow entered the service queue.
     Arrived {

@@ -8,10 +8,9 @@
 //! *Resource Performance Variance*).
 
 use aheft_workflow::{JobId, ResourceId};
-use serde::{Deserialize, Serialize};
 
 /// A discrete event in the grid simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Event {
     /// A job finished executing on its resource.
     JobFinished {

@@ -20,10 +20,9 @@
 //! fabricate mid-run states from scratch.
 
 use aheft_workflow::{Dag, EdgeId, JobId, ResourceId};
-use serde::{Deserialize, Serialize};
 
 /// Lifecycle state of one job.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum JobState {
     /// Not yet started (possibly not yet ready).
     Waiting,
@@ -233,8 +232,8 @@ impl ExecState {
     }
 
     /// Freeze the state into an owned [`Snapshot`] (cold path: what-if
-    /// queries, tests, serialization-style captures). The hot planner path
-    /// uses [`ExecState::view`] instead.
+    /// queries and tests). The hot planner path uses [`ExecState::view`]
+    /// instead.
     pub fn snapshot(&self, clock: f64, resource_avail: Vec<f64>) -> Snapshot {
         Snapshot {
             clock,

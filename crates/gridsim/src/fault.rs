@@ -15,10 +15,9 @@
 //! byte-identical whether or not the fault machinery is compiled in a run.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Generates resource departure times.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FailureModel {
     /// No failures (the paper's experimental setting).
     None,
@@ -101,7 +100,7 @@ impl FailureModel {
 
 /// Generates job-level crash faults: the job dies mid-execution but its
 /// resource survives.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum JobFaultModel {
     /// No job crashes.
     None,

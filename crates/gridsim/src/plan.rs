@@ -7,13 +7,12 @@
 //! reservations in the paper's Resource Manager hold.
 
 use aheft_workflow::{Dag, JobId, ResourceId};
-use serde::{Deserialize, Serialize};
 
 /// Sentinel in [`Plan`]'s dense job lookup: job not scheduled by this plan.
 const UNASSIGNED: u32 = u32::MAX;
 
 /// One job's placement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Assignment {
     /// The placed job.
     pub job: JobId,
@@ -26,12 +25,11 @@ pub struct Assignment {
 }
 
 /// A complete or partial schedule: the Planner's product.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Plan {
     assignments: Vec<Assignment>,
     /// Dense job-id -> assignment-index lookup (`UNASSIGNED` = not in this
-    /// plan). Plans are serialized (what-if services, traces); a `HashMap`
-    /// here would leak process-dependent key order into that output.
+    /// plan).
     by_job: Vec<u32>,
     /// The makespan predicted at planning time (absolute simulation time).
     predicted_makespan: f64,

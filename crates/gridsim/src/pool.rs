@@ -8,12 +8,11 @@
 //! the fault-injection extension.
 
 use aheft_workflow::ResourceId;
-use serde::{Deserialize, Serialize};
 
 use crate::resource::Resource;
 
 /// Configuration of pool evolution over time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PoolDynamics {
     /// Initial pool size `R` (paper sweeps 10..50 random / 20..100 apps).
     pub initial: usize,
@@ -85,11 +84,6 @@ impl PoolState {
     #[inline]
     pub fn total(&self) -> usize {
         self.resources.len()
-    }
-
-    /// Ids of resources alive at time `t`.
-    pub fn alive_at(&self, t: f64) -> Vec<ResourceId> {
-        self.resources.iter().filter(|r| r.alive_at(t)).map(|r| r.id).collect()
     }
 
     /// Ids of resources currently alive.
@@ -179,8 +173,8 @@ mod tests {
         let r = p.join(15.0);
         assert_eq!(r, ResourceId(2));
         assert_eq!(p.total(), 3);
-        assert_eq!(p.alive_at(10.0).len(), 2);
-        assert_eq!(p.alive_at(20.0).len(), 3);
+        assert_eq!(p.alive().len(), 3);
+        assert_eq!(p.resource(r).joined_at, 15.0);
         assert!(p.leave(ResourceId(0), 30.0));
         assert!(!p.leave(ResourceId(0), 31.0));
         assert_eq!(p.alive().len(), 2);

@@ -7,10 +7,9 @@
 //! performance-variance extension.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// How actual runtimes relate to estimates during simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ActualModel {
     /// Actual = estimate (paper §4.1 assumption 1).
     Exact,

@@ -9,10 +9,9 @@
 //! enough and starts no earlier than the job's earliest start time.
 
 use aheft_workflow::JobId;
-use serde::{Deserialize, Serialize};
 
 /// How a scheduler searches a resource's timeline for a start slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SlotPolicy {
     /// Original HEFT \[19\]: consider idle gaps between existing
     /// reservations (capacity search). Reproduces Fig. 5(a)'s makespan 80.
@@ -29,7 +28,7 @@ pub enum SlotPolicy {
 /// so the insertion-policy gap scan of [`SlotTable::earliest_start`], the
 /// innermost loop of every scheduling pass, streams through two contiguous
 /// `f64` arrays.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SlotTable {
     /// Reservation start times, ascending.
     starts: Vec<f64>,

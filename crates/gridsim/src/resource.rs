@@ -7,10 +7,9 @@
 //! even though the paper's experiments only exercise additions, §4.1).
 
 use aheft_workflow::ResourceId;
-use serde::{Deserialize, Serialize};
 
 /// Lifecycle metadata of one grid resource.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Resource {
     /// Dense id; also the column index in the cost table.
     pub id: ResourceId,
@@ -35,13 +34,6 @@ impl Resource {
         Self { id, joined_at: t, left_at: None, downtime: 0.0 }
     }
 
-    /// Is the resource part of the pool at time `t`? Across transient
-    /// repair cycles only the *current* departure is recorded, so this is
-    /// exact for the present and approximate for the deep past.
-    pub fn alive_at(&self, t: f64) -> bool {
-        self.joined_at <= t && self.left_at.is_none_or(|l| l > t)
-    }
-
     /// Is the resource currently alive (never left)?
     pub fn alive(&self) -> bool {
         self.left_at.is_none()
@@ -55,12 +47,9 @@ mod tests {
     #[test]
     fn lifecycle_queries() {
         let mut r = Resource::joining(ResourceId(3), 15.0);
-        assert!(!r.alive_at(10.0));
-        assert!(r.alive_at(15.0));
+        assert_eq!(r.joined_at, 15.0);
         assert!(r.alive());
         r.left_at = Some(40.0);
-        assert!(r.alive_at(30.0));
-        assert!(!r.alive_at(40.0));
         assert!(!r.alive());
     }
 }

@@ -2,11 +2,9 @@
 //! aggregate makespans over thousands of simulation cases without storing
 //! them all.
 
-use serde::{Deserialize, Serialize};
-
 /// Online mean accumulator (Welford's update — numerically stable for long
 /// sweeps).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Running {
     n: u64,
     mean: f64,
@@ -37,7 +35,7 @@ impl Running {
 
 /// Fault-tolerance metrics of one simulation run, reported alongside the
 /// makespan so chaos sweeps can quantify recovery behaviour per case.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultStats {
     /// Job executions killed by a fault (resource failure, crash fault, or
     /// straggler kill). Policy-initiated reschedule aborts do not count.

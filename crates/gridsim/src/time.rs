@@ -6,13 +6,12 @@
 //! `total_cmp`) and forbids NaN/∞ at construction so the event queue's
 //! ordering is always well defined.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, Sub};
 
 /// A finite, non-negative point in simulated time.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SimTime(f64);
 
 impl SimTime {

@@ -1,10 +1,9 @@
 //! Execution traces and ASCII Gantt rendering (paper Fig. 5).
 
 use aheft_workflow::{Dag, JobId, ResourceId};
-use serde::{Deserialize, Serialize};
 
 /// One trace record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
     /// Job started.
     JobStarted {
@@ -126,7 +125,7 @@ impl TraceEvent {
 
 /// An append-only execution trace. Recording can be disabled for large
 /// experiment sweeps (events are simply dropped).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Trace {
     events: Vec<TraceEvent>,
     enabled: bool,

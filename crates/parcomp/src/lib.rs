@@ -27,6 +27,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// after each completed chunk with `(items_done, items_total)`.
 pub type ProgressFn<'a> = dyn Fn(usize, usize) + Sync + 'a;
 
+/// Largest `--threads` value the `experiments` and `served` binaries
+/// accept. Both commit to the count up front (`served` builds one
+/// scheduling workspace per thread, the sweep spawns one scoped thread per
+/// worker), so an unchecked count aborts on allocation or panics when the
+/// OS refuses a thread instead of failing with a message.
+pub const MAX_THREADS: usize = 256;
+
 /// Default parallelism: available CPUs, at least 1.
 pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())

@@ -16,7 +16,7 @@
 
 use std::process::ExitCode;
 
-use aheft_serve::engine::QueryEngine;
+use aheft_serve::engine::{QueryEngine, MAX_THREADS};
 use aheft_serve::scenario::ScenarioParams;
 use aheft_serve::server::{serve_stream, serve_tcp};
 
@@ -27,9 +27,11 @@ struct Args {
     tcp: Option<String>,
 }
 
-fn parse_args() -> Result<Args, String> {
+/// Parse the command line (without the program name); every check runs
+/// before the scenario is built.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args { params: ScenarioParams::default(), threads: 1, batch: 1, tcp: None };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
         match flag.as_str() {
@@ -47,6 +49,9 @@ fn parse_args() -> Result<Args, String> {
     if args.params.jobs == 0 || args.params.resources == 0 {
         return Err("--jobs and --resources must be positive".to_string());
     }
+    if args.threads > MAX_THREADS {
+        return Err(format!("--threads must be at most {MAX_THREADS}, got {}", args.threads));
+    }
     Ok(args)
 }
 
@@ -58,7 +63,7 @@ const HELP: &str = "served [--jobs N] [--resources N] [--seed N] [--finished F] 
 [--threads N] [--batch K] [--tcp ADDR]";
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(msg) => {
             eprintln!("{msg}");
@@ -90,5 +95,23 @@ fn main() -> ExitCode {
             eprintln!("served: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn threads_are_bounded() {
+        assert_eq!(parse(&["--threads", "256"]).unwrap().threads, MAX_THREADS);
+        let err = parse(&["--threads", "257"]).err().expect("257 threads must be rejected");
+        assert!(err.contains("at most 256"), "error should name the limit: {err}");
+        let a = parse(&["--threads", "4", "--batch", "1000000000000"]).unwrap();
+        assert_eq!((a.threads, a.batch), (4, 1_000_000_000_000));
     }
 }

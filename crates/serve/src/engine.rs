@@ -34,6 +34,12 @@ use aheft_parcomp::par_map_chunked;
 use crate::protocol::{cache_key, error_tail, push_f64, push_response, push_u64, Op, Request};
 use crate::scenario::{Delta, Scenario, ScenarioStore};
 
+/// The largest `threads` the `served` binary passes to
+/// [`QueryEngine::new`], which builds one workspace per thread up front.
+/// Re-exported because perfbench builds `served` against this crate
+/// without a direct `aheft_parcomp` dependency.
+pub use aheft_parcomp::MAX_THREADS;
+
 /// A long-lived query engine over one [`ScenarioStore`].
 #[derive(Debug)]
 pub struct QueryEngine {

@@ -399,7 +399,7 @@ mod tests {
         for v in [0.0, 1.5, 2.0, -3.25, 1e300, 0.1 + 0.2, 87.0, f64::NAN] {
             let mut ours = String::new();
             push_f64(&mut ours, v);
-            assert_eq!(ours, serde_json::to_string(&v).unwrap(), "mismatch for {v}");
+            assert_eq!(ours, serde_json::to_string(&Value::F64(v)).unwrap(), "mismatch for {v}");
         }
     }
 

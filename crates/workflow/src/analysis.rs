@@ -4,13 +4,11 @@
 //! specifically the degree of parallelism. These helpers quantify that:
 //! level widths, maximum width, depth, and the average parallelism `v/depth`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::graph::Dag;
 use crate::topo;
 
 /// Summary of a DAG's shape.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShapeSummary {
     /// Number of jobs `v`.
     pub jobs: usize,

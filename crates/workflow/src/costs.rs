@@ -19,7 +19,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::error::WorkflowError;
 use crate::graph::{Dag, EdgeId};
@@ -65,34 +64,6 @@ pub struct CostTable {
     /// states this table passed through before earlier `add_resource`
     /// calls, oldest first. Bounded by the number of appends (≤ pool size).
     history: Vec<(u64, usize)>,
-}
-
-// The state id and history are process-local cache keys, not data: they
-// are dropped on serialization and re-drawn on deserialization (a
-// deserialized table is a new state as far as cached derived sums are
-// concerned), hence the hand-written impls.
-impl Serialize for CostTable {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            (serde::Value::Str("comp".to_string()), self.comp.to_value()),
-            (serde::Value::Str("comm".to_string()), self.comm.to_value()),
-            (serde::Value::Str("jobs".to_string()), self.jobs.to_value()),
-            (serde::Value::Str("resources".to_string()), self.resources.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for CostTable {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(CostTable {
-            comp: Deserialize::from_value(v.field("comp"))?,
-            comm: Deserialize::from_value(v.field("comm"))?,
-            jobs: Deserialize::from_value(v.field("jobs"))?,
-            resources: Deserialize::from_value(v.field("resources"))?,
-            state_id: fresh_table_state(),
-            history: Vec::new(),
-        })
-    }
 }
 
 impl CostTable {
@@ -202,31 +173,6 @@ impl CostTable {
         self.history.iter().rev().find(|&&(id, _)| id == state_id).map(|&(_, n)| n)
     }
 
-    /// Average computation cost `w̄_i` over the current resource pool.
-    pub fn avg_comp(&self, job: JobId) -> f64 {
-        if self.resources == 0 {
-            return 0.0;
-        }
-        // analyzer::allow(float-reduction-discipline): ascending-column fold is
-        // the rank-identity contract — RankEngine replays this exact order
-        // (pinned by tests/rank_engine_props.rs).
-        (0..self.resources).map(|j| self.comp[j * self.jobs + job.idx()]).sum::<f64>()
-            / self.resources as f64
-    }
-
-    /// Average computation cost over a subset of resources (the *alive*
-    /// pool; departed resources must not bias the ranks).
-    pub fn avg_comp_over(&self, job: JobId, resources: &[ResourceId]) -> f64 {
-        if resources.is_empty() {
-            return 0.0;
-        }
-        // analyzer::allow(float-reduction-discipline): left-to-right fold over
-        // the caller's alive order is the Eq. 5 kernel contract; RankEngine's
-        // append-delta folds are bit-identical only because this order is fixed.
-        resources.iter().map(|r| self.comp[r.idx() * self.jobs + job.idx()]).sum::<f64>()
-            / resources.len() as f64
-    }
-
     /// Accumulate the listed resources' cost columns into `acc`
     /// (`acc[i] += w[i][r]` for each `r` in list order), blocked over job
     /// tiles of [`FOLD_TILE_JOBS`] entries so the accumulator tile stays
@@ -237,8 +183,8 @@ impl CostTable {
     /// **Bit-identical** to the naive fold: each job's partial sum still
     /// sees the columns in exactly the caller's left-to-right order — tiling
     /// only interleaves work across *different* jobs, never reorders the
-    /// additions within one job. This is the Eq. 5 fold-order contract
-    /// `RankEngine` relies on.
+    /// additions within one job. This is the Eq. 5 fold-order contract of
+    /// [`crate::rank::rank_upward_over_into`], which `RankEngine` replays.
     ///
     /// # Panics
     /// Panics if `acc.len()` differs from the job count or a resource id
@@ -382,7 +328,7 @@ impl CostTable {
 /// Generator that remembers each job's nominal cost `ω_i` and the
 /// heterogeneity factor `β`, so resources joining the pool later draw their
 /// cost column from the same distribution (DESIGN.md §4.6).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CostGenerator {
     omega: Vec<f64>,
     beta: f64,
@@ -490,13 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn avg_comp_is_row_mean() {
-        let d = tiny_dag();
-        let t = CostTable::from_dag_comm(&d, &[vec![1.0, 3.0], vec![2.0, 2.0]], 1.0).unwrap();
-        assert!((t.avg_comp(JobId(0)) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn add_resource_extends_all_rows() {
         let d = tiny_dag();
         let mut t = CostTable::from_dag_comm(&d, &[vec![1.0], vec![2.0]], 1.0).unwrap();
@@ -558,7 +497,8 @@ mod tests {
         let t = CostTable::from_dag_comm(&d, &[vec![1.0, 9.0], vec![2.0, 9.0]], 1.0).unwrap();
         let t2 = t.truncated(1);
         assert_eq!(t2.resource_count(), 1);
-        assert!((t2.avg_comp(JobId(0)) - 1.0).abs() < 1e-12);
+        assert_eq!(t2.comp(JobId(0), ResourceId(0)), 1.0);
+        assert_eq!(t2.comp(JobId(1), ResourceId(0)), 2.0);
     }
 
     #[test]

@@ -19,14 +19,13 @@
 //! their nominal computation cost (paper §4.3 observation 2).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use super::{scale_comm_to_ccr, GeneratedWorkflow};
 use crate::build::DagBuilder;
 use crate::costs::CostGenerator;
 
 /// Parameters shared by the application DAG generators (Table 5).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AppDagParams {
     /// Parallelism degree `N` (paper sweeps 200..1000).
     pub parallelism: usize,

@@ -24,13 +24,11 @@ pub mod montage;
 pub mod random;
 pub mod wien2k;
 
-use serde::{Deserialize, Serialize};
-
 use crate::costs::CostGenerator;
 use crate::graph::Dag;
 
 /// A generated workload: structure plus cost distribution.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GeneratedWorkflow {
     /// The workflow DAG; `Edge::data` is the communication cost between
     /// distinct resources.

@@ -15,7 +15,6 @@
 //! guaranteed at least one predecessor so the DAG stays flow-connected.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use super::GeneratedWorkflow;
 use crate::build::DagBuilder;
@@ -24,7 +23,7 @@ use crate::graph::OpClass;
 use crate::ids::JobId;
 
 /// Parameters of the random DAG generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RandomDagParams {
     /// Number of jobs `v` (paper sweeps 20..100).
     pub jobs: usize,

@@ -6,8 +6,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::JobId;
 
 /// Source of process-unique [`Dag::uid`] values. Uniqueness is all that
@@ -20,7 +18,7 @@ pub(crate) fn fresh_dag_uid() -> u64 {
 }
 
 /// Dense index of an edge in [`Dag::edges`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EdgeId(pub u32);
 
 impl EdgeId {
@@ -38,7 +36,7 @@ impl EdgeId {
 /// has 11 unique executables; BLAST and WIEN2K likewise). Jobs of the same
 /// class share the same nominal computation demand, which is what makes the
 /// application DAG cost model realistic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OpClass(pub u16);
 
 impl OpClass {
@@ -49,7 +47,7 @@ impl OpClass {
 }
 
 /// A node of the workflow DAG.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Job {
     /// Human-readable name (e.g. `"LAPW1_K7"`, `"n4"`).
     pub name: String,
@@ -58,7 +56,7 @@ pub struct Job {
 }
 
 /// A directed data dependency `src -> dst`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Edge {
     /// Producer job.
     pub src: JobId,
@@ -91,44 +89,12 @@ pub struct Dag {
     pub(crate) uid: u64,
 }
 
-// The uid is a process-local cache key, not data: it is dropped on
-// serialization and re-drawn on deserialization (a deserialized DAG is a
-// new structure as far as any cached derived state is concerned), which is
-// why these impls are written by hand instead of derived.
-impl Serialize for Dag {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            (serde::Value::Str("jobs".to_string()), self.jobs.to_value()),
-            (serde::Value::Str("edges".to_string()), self.edges.to_value()),
-            (serde::Value::Str("succs".to_string()), self.succs.to_value()),
-            (serde::Value::Str("preds".to_string()), self.preds.to_value()),
-            (serde::Value::Str("topo".to_string()), self.topo.to_value()),
-            (serde::Value::Str("topo_pos".to_string()), self.topo_pos.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for Dag {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(Dag {
-            jobs: Deserialize::from_value(v.field("jobs"))?,
-            edges: Deserialize::from_value(v.field("edges"))?,
-            succs: Deserialize::from_value(v.field("succs"))?,
-            preds: Deserialize::from_value(v.field("preds"))?,
-            topo: Deserialize::from_value(v.field("topo"))?,
-            topo_pos: Deserialize::from_value(v.field("topo_pos"))?,
-            uid: fresh_dag_uid(),
-        })
-    }
-}
-
 impl Dag {
-    /// Process-unique id of this DAG's structure, assigned at build (or
-    /// deserialization) time. Clones share the uid — they are structurally
-    /// identical — so caches keyed on it (e.g.
-    /// [`crate::rank_engine::RankEngine`]) stay valid across clones but
-    /// never confuse two independently built DAGs that happen to share
-    /// job/edge counts.
+    /// Process-unique id of this DAG's structure, assigned at build time.
+    /// Clones share the uid — they are structurally identical — so caches
+    /// keyed on it (e.g. [`crate::rank_engine::RankEngine`]) stay valid
+    /// across clones but never confuse two independently built DAGs that
+    /// happen to share job/edge counts.
     #[inline]
     pub fn uid(&self) -> u64 {
         self.uid

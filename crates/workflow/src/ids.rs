@@ -4,11 +4,10 @@
 //! vectors (`Vec<T>` indexed by job / resource) without hashing, which keeps
 //! the hot scheduling loops allocation- and hash-free.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a job (node) in a [`crate::Dag`]; dense index `0..v`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobId(pub u32);
 
 impl JobId {
@@ -35,7 +34,7 @@ impl From<usize> for JobId {
 
 /// Identifier of a computation resource; dense index `0..R` in the order
 /// resources joined the pool (resources discovered later get higher ids).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ResourceId(pub u32);
 
 impl ResourceId {

@@ -50,5 +50,5 @@ pub use costs::{CostGenerator, CostTable};
 pub use error::WorkflowError;
 pub use graph::{Dag, Edge, EdgeId, Job, OpClass};
 pub use ids::{JobId, ResourceId};
-pub use rank::{critical_path, rank_downward, rank_upward};
+pub use rank::{critical_path, rank_upward};
 pub use rank_engine::RankEngine;

@@ -19,10 +19,8 @@ use crate::ids::{JobId, ResourceId};
 
 /// Compute `rank_u` for every job, averaging over the full resource pool.
 ///
-/// Delegates to [`rank_upward_over_into`] with every column alive —
-/// there is exactly one rank kernel, and averaging over the full pool in
-/// ascending id order is bit-identical to [`CostTable::avg_comp`]'s
-/// left-to-right column sum.
+/// Delegates to [`rank_upward_over_into`] with every column alive, in
+/// ascending id order: there is exactly one rank kernel.
 pub fn rank_upward(dag: &Dag, costs: &CostTable) -> Vec<f64> {
     let alive: Vec<ResourceId> = (0..costs.resource_count()).map(ResourceId::from).collect();
     rank_upward_over(dag, costs, &alive)
@@ -49,10 +47,9 @@ pub fn rank_upward_over_into(
     rank.clear();
     rank.resize(dag.job_count(), 0.0);
     // Tiled prepass: fold the alive columns into per-job sums with cache-
-    // resident job tiles instead of one strided `avg_comp_over` probe per
-    // job. Per job the additions happen in the same left-to-right alive
-    // order, so `sum / len` is bit-identical to `avg_comp_over` (the Eq. 5
-    // fold-order contract).
+    // resident job tiles instead of one strided probe per job. Per job the
+    // additions happen in the caller's left-to-right alive order: that
+    // order is the Eq. 5 fold-order contract `RankEngine` replays.
     costs.fold_columns_into(alive, rank);
     let len_f = alive.len() as f64;
     // The sweep consumes each job's slot exactly once, at the job's own
@@ -71,37 +68,9 @@ pub fn rank_upward_over_into(
     }
 }
 
-/// Compute the downward rank: longest average-cost path from an entry to the
-/// job, excluding the job's own cost.
-///
-/// ```text
-/// rank_d(n_i) = max_{n_p ∈ pred(n_i)} ( rank_d(n_p) + w̄_p + c̄(p,i) )
-/// rank_d(n_entry) = 0
-/// ```
-pub fn rank_downward(dag: &Dag, costs: &CostTable) -> Vec<f64> {
-    let mut rank = vec![0.0f64; dag.job_count()];
-    for &j in dag.topo_order() {
-        let mut best = 0.0f64;
-        for &(p, e) in dag.preds(j) {
-            let cand = rank[p.idx()] + costs.avg_comp(p) + costs.avg_comm(e);
-            if cand > best {
-                best = cand;
-            }
-        }
-        rank[j.idx()] = best;
-    }
-    rank
-}
-
 /// Jobs sorted by non-increasing `rank_u`, ties broken by topological
 /// position (so the order is always a valid topological order, even with
 /// zero-cost jobs or edges).
-pub fn priority_order(dag: &Dag, costs: &CostTable) -> Vec<JobId> {
-    let rank = rank_upward(dag, costs);
-    priority_order_from_ranks(dag, &rank)
-}
-
-/// As [`priority_order`] but reusing precomputed ranks.
 pub fn priority_order_from_ranks(dag: &Dag, rank: &[f64]) -> Vec<JobId> {
     let mut order = Vec::new();
     priority_order_from_ranks_into(dag, rank, &mut order);
@@ -190,29 +159,9 @@ mod tests {
     }
 
     #[test]
-    fn rank_d_on_chain() {
-        let (dag, costs) = chain();
-        let r = rank_downward(&dag, &costs);
-        assert!((r[0] - 0.0).abs() < 1e-12);
-        assert!((r[1] - 11.0).abs() < 1e-12);
-        assert!((r[2] - 33.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rank_u_plus_rank_d_bounded_by_cp() {
-        let (dag, costs) = chain();
-        let ru = rank_upward(&dag, &costs);
-        let rd = rank_downward(&dag, &costs);
-        let (_, cp) = critical_path(&dag, &costs);
-        for j in dag.job_ids() {
-            assert!(rd[j.idx()] + ru[j.idx()] <= cp + 1e-9);
-        }
-    }
-
-    #[test]
     fn priority_order_is_topological() {
         let (dag, costs) = chain();
-        let order = priority_order(&dag, &costs);
+        let order = priority_order_from_ranks(&dag, &rank_upward(&dag, &costs));
         assert_eq!(order, dag.topo_order().to_vec());
     }
 

@@ -9,8 +9,9 @@
 //!
 //! [`RankEngine`] removes that cost from the steady state by caching, per
 //! job, the **sum of computation costs over the alive set** (in the exact
-//! left-to-right order [`CostTable::avg_comp_over`] uses, so every derived
-//! average is bit-identical to a from-scratch pass) and applying deltas:
+//! left-to-right order [`crate::rank::rank_upward_over_into`] folds, so every
+//! derived average is bit-identical to a from-scratch pass) and applying
+//! deltas:
 //!
 //! * **Pool growth** — the paper's central mechanic — appends columns to
 //!   the alive set. The cached sums absorb each new column with one
@@ -62,7 +63,8 @@ pub struct RankEngine {
     /// The alive set the sums were accumulated over, in order.
     alive: Vec<ResourceId>,
     /// Per-job computation-cost sum over `alive`, folded left to right in
-    /// `alive` order (the [`CostTable::avg_comp_over`] summation order).
+    /// `alive` order (the [`crate::rank::rank_upward_over_into`] summation
+    /// order).
     comp_sum: Vec<f64>,
     /// Per-job average (`comp_sum / alive.len()`) as of the last sweep;
     /// compared bit-for-bit to decide whether a job is dirty.
@@ -191,8 +193,8 @@ impl RankEngine {
                 // successors only).
                 continue;
             }
-            // Same expression avg_comp_over evaluates: left-to-right sum
-            // (cached) divided by the alive count.
+            // Same expression rank_upward_over_into evaluates: left-to-right
+            // sum (cached) divided by the alive count.
             let new_avg = if len == 0 { 0.0 } else { self.comp_sum[ji] / len_f };
             if !force && !self.dirty[ji] && new_avg.to_bits() == self.avg[ji].to_bits() {
                 continue; // inputs bit-identical => rank bit-identical

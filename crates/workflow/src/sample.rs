@@ -81,7 +81,7 @@ pub fn fig4_r4_column() -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rank::{priority_order, rank_upward};
+    use crate::rank::{priority_order_from_ranks, rank_upward};
 
     #[test]
     fn fig4_shape() {
@@ -112,7 +112,7 @@ mod tests {
         // Descending rank_u: n1, n3/n4 (tie), n2, n5, n6, n9, n7, n8, n10.
         let d = fig4_dag();
         let t = fig4_costs_initial();
-        let order = priority_order(&d, &t);
+        let order = priority_order_from_ranks(&d, &rank_upward(&d, &t));
         assert_eq!(order[0], JobId(0));
         assert_eq!(order[9], JobId(9));
         // n3 and n4 tie at 80; topological position breaks the tie

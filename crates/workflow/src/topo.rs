@@ -1,4 +1,4 @@
-//! Topological utilities: Kahn ordering, level assignment, reachability.
+//! Topological utilities: Kahn ordering and level assignment.
 
 use crate::graph::{Dag, EdgeId};
 use crate::ids::JobId;
@@ -53,38 +53,6 @@ pub fn depth(dag: &Dag) -> usize {
     levels(dag).into_iter().max().map_or(0, |m| m as usize + 1)
 }
 
-/// Returns `reach[i]` = set of jobs reachable from `i` (as a boolean matrix
-/// row). Quadratic memory — intended for tests and small analysis tasks, not
-/// for the schedulers.
-pub fn reachability(dag: &Dag) -> Vec<Vec<bool>> {
-    let v = dag.job_count();
-    let mut reach = vec![vec![false; v]; v];
-    // Process in reverse topological order: a job reaches its successors and
-    // everything they reach.
-    for &j in dag.topo_order().iter().rev() {
-        for &(s, _) in dag.succs(j) {
-            reach[j.idx()][s.idx()] = true;
-            // Borrow-splitting: copy successor row into job row.
-            let (a, b) = if j.idx() < s.idx() {
-                let (lo, hi) = reach.split_at_mut(s.idx());
-                (&mut lo[j.idx()], &hi[0])
-            } else {
-                let (lo, hi) = reach.split_at_mut(j.idx());
-                (&mut hi[0], &lo[s.idx()])
-            };
-            for (dst, &src) in a.iter_mut().zip(b.iter()) {
-                *dst |= src;
-            }
-        }
-    }
-    reach
-}
-
-/// True if `a` and `b` may run concurrently (neither reaches the other).
-pub fn concurrent(reach: &[Vec<bool>], a: JobId, b: JobId) -> bool {
-    a != b && !reach[a.idx()][b.idx()] && !reach[b.idx()][a.idx()]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,16 +76,6 @@ mod tests {
         let d = fork_join();
         assert_eq!(levels(&d), vec![0, 1, 1, 1, 2]);
         assert_eq!(depth(&d), 3);
-    }
-
-    #[test]
-    fn reachability_and_concurrency() {
-        let d = fork_join();
-        let r = reachability(&d);
-        assert!(r[0][4]);
-        assert!(!r[4][0]);
-        assert!(concurrent(&r, JobId(1), JobId(2)));
-        assert!(!concurrent(&r, JobId(0), JobId(2)));
     }
 
     #[test]
