@@ -44,12 +44,17 @@
 //! A pass runs one sequential code path, whatever the instance. Its only
 //! choice depends on size: from [`MIRROR_MIN_CELLS`] cells on, the EFT scan
 //! reads its costs from a row-major copy of the table, which holds the same
-//! values. The scan also skips every resource whose lower bound
-//! `est + w` cannot beat the best EFT found so far.
+//! values. The copy's rows are padded, so a resource that joins is appended
+//! to it instead of transposing the whole table again. Per job, Eq. 2's
+//! inner max reduces to a few scalars and a sparse overlay, so the EFT scan
+//! computes each resource's data-ready time itself: one R-wide loop per
+//! job. The scan also skips every resource whose lower bound `est + w`
+//! cannot beat the best EFT found so far.
 
 use aheft_gridsim::executor::{JobState, Snapshot, SnapshotView};
 use aheft_gridsim::plan::{Assignment, Plan};
 use aheft_gridsim::reservation::{SlotPolicy, SlotTable};
+use aheft_workflow::costs::TRANSPOSE_TILE;
 use aheft_workflow::rank::priority_order_from_ranks_into;
 use aheft_workflow::rank_engine::RankEngine;
 use aheft_workflow::{CostTable, Dag, EdgeId, JobId, ResourceId};
@@ -108,6 +113,58 @@ enum PredFea {
     Scheduled { r: ResourceId, t: f64, comm: f64 },
 }
 
+/// Cumulative work counters of a [`ScheduleWorkspace`], summed over every
+/// pass it ran. Deterministic: they count work, not time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PassStats {
+    /// Full builds of the row-major cost mirror: the first pass above
+    /// [`MIRROR_MIN_CELLS`], a table off the mirror's append lineage, or a
+    /// table that outgrew the mirror's padded row stride.
+    pub mirror_builds: u64,
+    /// Columns written into the mirror's row padding because the table
+    /// grew along its append lineage.
+    pub mirror_columns_appended: u64,
+}
+
+/// Eq. 2's inner max for one job, reduced to what the EFT scan needs per
+/// resource: the scheduled group's two values and the finished group's
+/// value away from its exception overlay.
+#[derive(Debug, Clone, Copy)]
+struct ReadyFold {
+    clock: f64,
+    /// Largest `t + comm` among the scheduled predecessors (`-∞` when
+    /// none): their value on every resource but `top1_rp`.
+    top1: f64,
+    /// Resource of the first scheduled predecessor reaching `top1`.
+    top1_rp: ResourceId,
+    /// The scheduled group's value on `top1_rp`: the largest local `t`
+    /// there against the largest `t + comm` of predecessors elsewhere.
+    special: f64,
+    /// Largest retransmit among the finished predecessors (`-∞` when
+    /// none): their value on every resource the overlay leaves untouched.
+    fin_top: f64,
+}
+
+impl ReadyFold {
+    /// Earliest data-ready time on `r`, given the finalized overlay entry
+    /// `overlay` at `r` (`-∞` when untouched). Starts at `clock`, then
+    /// folds the scheduled and the finished group, each under a strict
+    /// `>`: the comparison sequence of a per-resource `ready` array.
+    #[inline]
+    fn ready_at(&self, r: ResourceId, overlay: f64) -> f64 {
+        let mut ready = self.clock;
+        let scheduled = if r == self.top1_rp { self.special } else { self.top1 };
+        if scheduled > ready {
+            ready = scheduled;
+        }
+        let finished = if overlay == f64::NEG_INFINITY { self.fin_top } else { overlay };
+        if finished > ready {
+            ready = finished;
+        }
+        ready
+    }
+}
+
 /// Reusable scratch memory for the scheduling hot path, owned by
 /// [`crate::planner::AdaptivePlanner`] and threaded through
 /// [`aheft_schedule_into`] and [`crate::whatif::what_if`]. Every buffer is
@@ -136,29 +193,30 @@ pub struct ScheduleWorkspace {
     /// Per-job FEA classification scratch (Eq. 1, hoisted out of the
     /// resource loop).
     pred_fea: Vec<PredFea>,
-    /// Per-resource earliest data-ready time of the current job (the inner
-    /// max of Eq. 2), built from per-group aggregates instead of
-    /// re-deriving every predecessor's case per resource.
-    ready: Vec<f64>,
-    /// Per-resource max of the *exceptional* finished-predecessor values
-    /// (producer AFT on its home, committed transfer arrivals);
-    /// `NEG_INFINITY` = no exception. Reset via `exc_touched`.
+    /// Per-resource finished-group value of the current job at the
+    /// resources some finished predecessor excepts (the producer's home,
+    /// committed transfer destinations); `NEG_INFINITY` = no exception.
+    /// Reset via `exc_touched`.
     exc_val: Vec<f64>,
     /// Indices of `exc_val` touched for the current job.
     exc_touched: Vec<u32>,
-    /// Finished predecessors of the current job (indices into `pred_fea`),
-    /// sorted by non-increasing retransmission arrival.
-    fin_sorted: Vec<u32>,
     /// Assignments of the most recent pass, in placement (rank) order.
     assignments: Vec<Assignment>,
-    /// Row-major mirror of the cost table (`mirror[job · total_resources +
+    /// Row-major mirror of the cost table (`mirror[job · mirror_stride +
     /// r]`), so the R-wide EFT scan reads one contiguous cache line stream
     /// per job instead of `jobs`-strided column probes. Values are exact
     /// copies, so mirror-fed scans are bit-identical to column reads.
     mirror: Vec<f64>,
-    /// [`CostTable::state_id`] the mirror was built from; warm passes with
-    /// an unchanged table reuse the mirror for free.
+    /// Row stride of `mirror`: the column count it was built for, padded
+    /// up to the next multiple of [`TRANSPOSE_TILE`] above it. Columns
+    /// that join later are written into the padding.
+    mirror_stride: usize,
+    /// [`CostTable::state_id`] the mirror holds. A table whose append
+    /// lineage passes through it ([`CostTable::columns_since`]) only needs
+    /// its newer columns written; any other table rebuilds the mirror.
     mirror_key: Option<u64>,
+    /// Cumulative work counters.
+    stats: PassStats,
     /// What-if scratch table (see [`crate::whatif`]): a lazily-synced clone
     /// of the caller's base cost table that hypothetical columns are
     /// appended to and truncated back off via
@@ -185,6 +243,36 @@ impl ScheduleWorkspace {
     /// placement (non-increasing rank) order.
     pub fn assignments(&self) -> &[Assignment] {
         &self.assignments
+    }
+
+    /// Work counters summed over every pass this workspace ran.
+    pub fn stats(&self) -> PassStats {
+        self.stats
+    }
+
+    /// Bring the row-major mirror up to `costs`: nothing when it already
+    /// holds this state, the new columns when `costs` grew along the
+    /// mirror's append lineage and still fits the row stride, otherwise a
+    /// full transpose at a freshly padded stride.
+    fn sync_mirror(&mut self, costs: &CostTable) {
+        let columns = costs.resource_count();
+        let held = self.mirror_key.and_then(|key| costs.columns_since(key));
+        match held {
+            Some(held) if columns <= self.mirror_stride => {
+                if held < columns {
+                    costs.write_row_major_columns(&mut self.mirror, self.mirror_stride, held);
+                    self.stats.mirror_columns_appended += (columns - held) as u64;
+                }
+            }
+            _ => {
+                self.mirror_stride = (columns / TRANSPOSE_TILE + 1) * TRANSPOSE_TILE;
+                self.mirror.clear();
+                self.mirror.resize(costs.job_count() * self.mirror_stride, 0.0);
+                costs.write_row_major_columns(&mut self.mirror, self.mirror_stride, 0);
+                self.stats.mirror_builds += 1;
+            }
+        }
+        self.mirror_key = Some(costs.state_id());
     }
 
     /// Build the executable [`Plan`] of the most recent pass (the only
@@ -283,9 +371,8 @@ pub fn aheft_schedule_into(
     // Large instances stream the EFT scan's costs from the row-major
     // mirror; the values are exact copies, so the schedule is the same.
     let use_mirror = jobs.saturating_mul(total_resources) >= MIRROR_MIN_CELLS;
-    if use_mirror && ws.mirror_key != Some(costs.state_id()) {
-        costs.write_row_major_into(&mut ws.mirror);
-        ws.mirror_key = Some(costs.state_id());
+    if use_mirror {
+        ws.sync_mirror(costs);
     }
 
     if ws.tables.len() < total_resources {
@@ -299,10 +386,7 @@ pub fn aheft_schedule_into(
     }
     // Invariant: every touched overlay entry is reset after each job; the
     // drain here only matters if a previous pass unwound mid-job.
-    for &i in &ws.exc_touched {
-        ws.exc_val[i as usize] = f64::NEG_INFINITY;
-    }
-    ws.exc_touched.clear();
+    reset_overlay(&mut ws.exc_val, &mut ws.exc_touched);
     ws.assignments.clear();
 
     for oi in 0..ws.order.len() {
@@ -312,30 +396,26 @@ pub fn aheft_schedule_into(
         if view.is_finished(job) || ws.slot_res[job.idx()] != UNPLACED {
             continue;
         }
-        fill_ready_for_job(
+        let fold = fold_preds(
             dag,
             costs,
             view,
-            alive,
             clock,
             job,
-            total_resources,
             &ws.slot_res,
             &ws.slot_time,
             &mut ws.pred_fea,
-            &mut ws.fin_sorted,
             &mut ws.exc_val,
             &mut ws.exc_touched,
-            &mut ws.ready,
         );
+        let row = use_mirror.then(|| &ws.mirror[job.idx() * ws.mirror_stride..][..total_resources]);
         let mut best: Option<(f64, f64, ResourceId)> = None; // (eft, start, resource)
         for &r in alive {
-            let w = if use_mirror {
-                ws.mirror[job.idx() * total_resources + r.idx()]
-            } else {
-                costs.comp(job, r)
+            let w = match row {
+                Some(row) => row[r.idx()],
+                None => costs.comp(job, r),
             };
-            let est = ws.ready[r.idx()].max(ws.floor[r.idx()]);
+            let est = fold.ready_at(r, ws.exc_val[r.idx()]).max(ws.floor[r.idx()]);
             // EFT lower-bound prune: `start >= est`, so `eft >= est + w`; a
             // candidate only replaces the running best under strict `<`, so
             // skipping every resource with `est + w >= best` selects the
@@ -353,6 +433,7 @@ pub fn aheft_schedule_into(
                 best = Some((eft, start, r));
             }
         }
+        reset_overlay(&mut ws.exc_val, &mut ws.exc_touched);
         // analyzer::allow(panic-in-hot-path): `best` is Some for any non-empty
         // `alive`, which the pass asserts on entry (documented panic contract).
         let (eft, start, r) = best.expect("alive is non-empty");
@@ -372,31 +453,43 @@ pub fn aheft_schedule_into(
     predicted.max(pinned_max)
 }
 
-/// Classify every predecessor's Eq. 1 case into `pred_fea` and fill
-/// `ready` — the inner max of Eq. 2 per alive resource — for `job`, with
-/// closed-form **group folds** (O(preds + R) per job) that stream
-/// per-group aggregates over the alive set. Each entry is a max over the
-/// same value multiset a per-resource rederivation would fold, and max
-/// over f64 copies is order-independent, so the values are bit-identical
-/// to it.
+/// Clear the exception overlay entries touched for the last job.
+fn reset_overlay(exc_val: &mut [f64], exc_touched: &mut Vec<u32>) {
+    for &i in exc_touched.iter() {
+        exc_val[i as usize] = f64::NEG_INFINITY;
+    }
+    exc_touched.clear();
+}
+
+/// Does finished predecessor data (produced on `home`, carried by `edge`)
+/// sit on `r` other than by retransmission: on the producer's home or by a
+/// committed transfer?
+#[inline]
+fn excepts(view: SnapshotView<'_>, home: ResourceId, edge: EdgeId, r: ResourceId) -> bool {
+    home == r || view.transfers_of(edge).iter().any(|&(rt, _)| rt == r)
+}
+
+/// Classify every predecessor's Eq. 1 case into `pred_fea` and reduce the
+/// inner max of Eq. 2 for `job` to a [`ReadyFold`] plus a finalized
+/// exception overlay in `exc_val` (entries listed in `exc_touched`), in
+/// O(preds + exceptions) per job. [`ReadyFold::ready_at`] then gives each
+/// resource the max over the same value multiset a per-resource
+/// rederivation would fold; max over f64 copies is order-independent, so
+/// the values are bit-identical to it.
 #[allow(clippy::too_many_arguments)]
 // analyzer: hot
-fn fill_ready_for_job(
+fn fold_preds(
     dag: &Dag,
     costs: &CostTable,
     view: SnapshotView<'_>,
-    alive: &[ResourceId],
     clock: f64,
     job: JobId,
-    total_resources: usize,
     slot_res: &[u32],
     slot_time: &[f64],
     pred_fea: &mut Vec<PredFea>,
-    fin_sorted: &mut Vec<u32>,
     exc_val: &mut [f64],
     exc_touched: &mut Vec<u32>,
-    ready: &mut Vec<f64>,
-) {
+) -> ReadyFold {
     // Eq. 1 case of each predecessor, classified once per job instead
     // of once per (job, resource).
     pred_fea.clear();
@@ -409,25 +502,12 @@ fn fill_ready_for_job(
             PredFea::Scheduled { r: ResourceId(res), t: slot_time[p.idx()], comm: costs.comm(e) }
         });
     }
-    ready.clear();
-    ready.resize(total_resources, clock);
-    // Inner max of Eq. 2, computed as one dense streaming pass per
-    // predecessor over the alive set (a predecessor's case was already
-    // classified; its per-resource value differs from a single base
-    // only at exceptional resources — the producer's home and the
-    // committed transfer destinations — so each edge's transfer ledger
-    // is walked once per job instead of probed per resource). Folding
-    // per predecessor in classification order with the same strict `>`
-    // keeps every `ready` value bit-identical to the per-resource
-    // rederivation.
-    //
-    // Case 3 / otherwise (pinned or (re)scheduled predecessors) in one
-    // closed-form group fold: such a predecessor contributes `t` on its
-    // own resource and `t + comm` elsewhere, and `t <= t + comm`, so
-    // the group's per-resource max is the largest `t + comm` (`top1`)
+    // Case 3 / otherwise (pinned or (re)scheduled predecessors) as one
+    // closed-form group: such a predecessor contributes `t` on its own
+    // resource and `t + comm` elsewhere, and `t <= t + comm`, so the
+    // group's per-resource max is the largest `t + comm` (`top1`)
     // everywhere except on `top1`'s own resource, where the runner-up
-    // `t + comm` competes with the local `t` terms. O(preds + R)
-    // instead of O(preds * R), and exactly the same max values.
+    // `t + comm` competes with the local `t` terms.
     let mut top1 = f64::NEG_INFINITY;
     let mut top1_rp = ResourceId(u32::MAX);
     for pf in pred_fea.iter() {
@@ -439,31 +519,23 @@ fn fill_ready_for_job(
             }
         }
     }
-    if top1 > f64::NEG_INFINITY {
-        let mut local_at_top = f64::NEG_INFINITY; // max t of preds on top1_rp
-        let mut top2 = f64::NEG_INFINITY; // max t + comm of preds elsewhere
-        for pf in pred_fea.iter() {
-            if let PredFea::Scheduled { r, t, comm } = *pf {
-                if r == top1_rp {
-                    if t > local_at_top {
-                        local_at_top = t;
-                    }
-                } else {
-                    let v = t + comm;
-                    if v > top2 {
-                        top2 = v;
-                    }
+    let mut local_at_top = f64::NEG_INFINITY; // max t of preds on top1_rp
+    let mut top2 = f64::NEG_INFINITY; // max t + comm of preds elsewhere
+    for pf in pred_fea.iter() {
+        if let PredFea::Scheduled { r, t, comm } = *pf {
+            if r == top1_rp {
+                if t > local_at_top {
+                    local_at_top = t;
+                }
+            } else {
+                let v = t + comm;
+                if v > top2 {
+                    top2 = v;
                 }
             }
         }
-        let special = local_at_top.max(top2);
-        for &r in alive {
-            let v = if r == top1_rp { special } else { top1 };
-            if v > ready[r.idx()] {
-                ready[r.idx()] = v;
-            }
-        }
     }
+    let special = local_at_top.max(top2);
     // Finished predecessors (Cases 1–2) as one group: predecessor `m`
     // contributes its retransmission arrival `clock + c_m` everywhere
     // except at its *exceptional* resources — the producer's home (AFT)
@@ -471,16 +543,18 @@ fn fill_ready_for_job(
     // resource the group max is
     //   max( largest retransmit among preds NOT excepting r,
     //        largest exceptional value at r ).
-    // The second term accumulates in a dense max-overlay; the first is
-    // the globally largest retransmit, except where that predecessor
-    // itself excepts `r`, found by walking the preds in non-increasing
-    // retransmit order until one does not except `r` (depth ~1: a pred
-    // excepts only a couple of resources). O(F log F + exceptions + R)
-    // per job instead of O(F · R) ledger probes.
-    fin_sorted.clear();
-    for (k, pf) in pred_fea.iter().enumerate() {
-        if let PredFea::Finished { home, aft, edge, .. } = *pf {
-            fin_sorted.push(k as u32);
+    // The second term accumulates in the sparse overlay. The first is the
+    // largest retransmit overall, except where the predecessor holding it
+    // (the top retransmitter) excepts `r`: only there are the predecessors
+    // scanned again. O(preds + exceptions) per job, no sort.
+    let mut fin_top = f64::NEG_INFINITY;
+    let mut top_pred: Option<(ResourceId, EdgeId)> = None;
+    for pf in pred_fea.iter() {
+        if let PredFea::Finished { home, aft, edge, retransmit } = *pf {
+            if retransmit > fin_top {
+                fin_top = retransmit;
+                top_pred = Some((home, edge));
+            }
             let mut touch = |r: ResourceId, v: f64| {
                 if let Some(slot) = exc_val.get_mut(r.idx()) {
                     if *slot == f64::NEG_INFINITY {
@@ -499,48 +573,27 @@ fn fill_ready_for_job(
             }
         }
     }
-    if !fin_sorted.is_empty() {
-        let fin_retransmit = |k: u32| match pred_fea[k as usize] {
-            PredFea::Finished { retransmit, .. } => retransmit,
-            PredFea::Scheduled { .. } => unreachable!("fin_sorted holds finished preds"),
-        };
-        fin_sorted.sort_unstable_by(|&a, &b| {
-            // analyzer::allow(panic-in-hot-path): retransmit times are clock + comm
-            // cost, both validated finite at construction; a NaN here is state
-            // corruption and must stop the pass rather than silently reorder it.
-            fin_retransmit(b).partial_cmp(&fin_retransmit(a)).expect("times are finite")
-        });
-        let top = fin_retransmit(fin_sorted[0]);
-        for &r in alive {
-            let exc = exc_val[r.idx()];
-            let base = if exc == f64::NEG_INFINITY {
-                top // no predecessor excepts r
-            } else {
+    // Finalize the overlay: each touched entry becomes the group max there.
+    if let Some((top_home, top_edge)) = top_pred {
+        for &i in exc_touched.iter() {
+            let r = ResourceId(i);
+            let base = if excepts(view, top_home, top_edge, r) {
                 let mut base = f64::NEG_INFINITY;
-                for &k in fin_sorted.iter() {
-                    let PredFea::Finished { home, edge, retransmit, .. } = pred_fea[k as usize]
-                    else {
-                        unreachable!("fin_sorted holds finished preds")
-                    };
-                    let excepts =
-                        home == r || view.transfers_of(edge).iter().any(|&(rt, _)| rt == r);
-                    if !excepts {
-                        base = retransmit;
-                        break;
+                for pf in pred_fea.iter() {
+                    if let PredFea::Finished { home, edge, retransmit, .. } = *pf {
+                        if retransmit > base && !excepts(view, home, edge, r) {
+                            base = retransmit;
+                        }
                     }
                 }
                 base
+            } else {
+                fin_top
             };
-            let v = base.max(exc);
-            if v > ready[r.idx()] {
-                ready[r.idx()] = v;
-            }
+            exc_val[i as usize] = base.max(exc_val[i as usize]);
         }
-        for &i in exc_touched.iter() {
-            exc_val[i as usize] = f64::NEG_INFINITY;
-        }
-        exc_touched.clear();
     }
+    ReadyFold { clock, top1, top1_rp, special, fin_top }
 }
 
 #[cfg(test)]

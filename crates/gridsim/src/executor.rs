@@ -230,18 +230,6 @@ impl ExecState {
     pub fn view<'a>(&'a self, clock: f64, resource_avail: &'a [f64]) -> SnapshotView<'a> {
         SnapshotView { clock, states: &self.states, transfers: &self.transfers, resource_avail }
     }
-
-    /// Freeze the state into an owned [`Snapshot`] (cold path: what-if
-    /// queries and tests). The hot planner path uses [`ExecState::view`]
-    /// instead.
-    pub fn snapshot(&self, clock: f64, resource_avail: Vec<f64>) -> Snapshot {
-        Snapshot {
-            clock,
-            states: self.states.clone(),
-            transfers: self.transfers.clone(),
-            resource_avail,
-        }
-    }
 }
 
 /// Owned execution state at a rescheduling instant — the owned counterpart
@@ -560,11 +548,21 @@ mod tests {
         s.start(JobId(0), ResourceId(0), 0.0, 5.0);
         s.finish(JobId(0), 5.0);
         s.record_transfer(EdgeId(0), ResourceId(1), 9.0);
-        let snap = s.snapshot(8.0, vec![8.0, 15.0]);
-        assert_eq!(snap.clock, 8.0);
+        let avail = vec![8.0, 15.0];
+        let live = s.view(8.0, &avail);
+        let mut snap = Snapshot::initial(2);
+        snap.clock = 8.0;
+        snap.resource_avail = avail.clone();
+        snap.set_finished(JobId(0), ResourceId(0), 5.0);
+        snap.add_transfer(EdgeId(0), ResourceId(1), 9.0);
+        assert_eq!(snap.view().clock, live.clock);
         assert!(snap.is_finished(JobId(0)));
-        assert_eq!(snap.edge_data_available(JobId(0), EdgeId(0), ResourceId(1)), Some(9.0));
-        assert_eq!(snap.view().finished_on(JobId(0)), Some((ResourceId(0), 5.0)));
+        for r in [ResourceId(0), ResourceId(1)] {
+            let owned = snap.edge_data_available(JobId(0), EdgeId(0), r);
+            assert_eq!(owned, live.edge_data_available(JobId(0), EdgeId(0), r));
+        }
+        assert_eq!(snap.view().finished_on(JobId(0)), live.finished_on(JobId(0)));
+        assert_eq!(snap.view().transfers_of(EdgeId(0)), live.transfers_of(EdgeId(0)));
     }
 
     #[test]

@@ -49,6 +49,9 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     if args.params.jobs == 0 || args.params.resources == 0 {
         return Err("--jobs and --resources must be positive".to_string());
     }
+    if args.threads == 0 || args.batch == 0 {
+        return Err("--threads and --batch must be positive".to_string());
+    }
     if args.threads > MAX_THREADS {
         return Err(format!("--threads must be at most {MAX_THREADS}, got {}", args.threads));
     }
@@ -113,5 +116,9 @@ mod tests {
         assert!(err.contains("at most 256"), "error should name the limit: {err}");
         let a = parse(&["--threads", "4", "--batch", "1000000000000"]).unwrap();
         assert_eq!((a.threads, a.batch), (4, 1_000_000_000_000));
+        for zero in [["--threads", "0"], ["--batch", "0"]] {
+            let err = parse(&zero).err().expect("zero must be rejected");
+            assert!(err.contains("must be positive"), "{zero:?}: {err}");
+        }
     }
 }

@@ -32,12 +32,32 @@ fn fresh_table_state() -> u64 {
     NEXT_TABLE_STATE.fetch_add(1, Ordering::Relaxed)
 }
 
+fn is_valid_cost(w: f64) -> bool {
+    w.is_finite() && w >= 0.0
+}
+
+/// Column-major copy of `rows`, each `resources` long.
+fn column_major(rows: &[Vec<f64>], resources: usize) -> Vec<f64> {
+    let mut flat = Vec::with_capacity(rows.len() * resources);
+    for j in 0..resources {
+        flat.extend(rows.iter().map(|row| row[j]));
+    }
+    flat
+}
+
+/// Edge communication costs: each edge's data volume times `unit_cost`
+/// (uniform network).
+fn comm_from_volumes(dag: &Dag, unit_cost: f64) -> Vec<f64> {
+    dag.edges().iter().map(|e| e.data * unit_cost).collect()
+}
+
 /// Job-block width of [`CostTable::fold_columns_into`]: 4096 f64 = 32 KiB,
 /// half a typical L1d, leaving room for the streamed column tile.
 pub const FOLD_TILE_JOBS: usize = 4096;
 
-/// Square tile edge of [`CostTable::write_row_major_into`]: 64×64 f64 =
+/// Square tile edge of [`CostTable::write_row_major_columns`]: 64×64 f64 =
 /// 32 KiB per tile side, L1/L2-resident for source and destination at once.
+/// A mirror's row stride is padded to a multiple of it.
 pub const TRANSPOSE_TILE: usize = 64;
 
 /// Computation and communication cost matrices for one DAG on one
@@ -72,38 +92,46 @@ impl CostTable {
     pub fn new(comp: &[Vec<f64>], comm: Vec<f64>) -> Result<Self, WorkflowError> {
         let jobs = comp.len();
         let resources = comp.first().map_or(0, |r| r.len());
-        for (i, row) in comp.iter().enumerate() {
-            if row.len() != resources {
-                return Err(WorkflowError::DimensionMismatch(format!(
-                    "comp row {i} has {} columns, expected {resources}",
-                    row.len()
-                )));
-            }
-            for (j, &w) in row.iter().enumerate() {
-                if !w.is_finite() || w < 0.0 {
-                    return Err(WorkflowError::InvalidCost(format!("w[{i}][{j}] = {w}")));
-                }
-            }
+        if let Some(i) = comp.iter().position(|row| row.len() != resources) {
+            // Rows are checked in order: a bad cost above the ragged row
+            // is the error to report.
+            Self::from_columns(column_major(&comp[..i], resources), i, resources, Vec::new())?;
+            return Err(WorkflowError::DimensionMismatch(format!(
+                "comp row {i} has {} columns, expected {resources}",
+                comp[i].len()
+            )));
+        }
+        Self::from_columns(column_major(comp, resources), jobs, resources, comm)
+    }
+
+    /// Take ownership of a column-major `comp` buffer (`comp[j · jobs + i]`
+    /// = `w[i][j]`) after checking that every cost is finite and
+    /// non-negative. The first bad cell is reported in row-major order.
+    fn from_columns(
+        comp: Vec<f64>,
+        jobs: usize,
+        resources: usize,
+        comm: Vec<f64>,
+    ) -> Result<Self, WorkflowError> {
+        debug_assert_eq!(comp.len(), jobs * resources);
+        let first_bad = comp
+            .iter()
+            .enumerate()
+            .filter(|&(_, &w)| !is_valid_cost(w))
+            .map(|(k, _)| (k % jobs, k / jobs))
+            .min();
+        if let Some((i, j)) = first_bad {
+            return Err(WorkflowError::InvalidCost(format!(
+                "w[{i}][{j}] = {}",
+                comp[j * jobs + i]
+            )));
         }
         for (e, &c) in comm.iter().enumerate() {
-            if !c.is_finite() || c < 0.0 {
+            if !is_valid_cost(c) {
                 return Err(WorkflowError::InvalidCost(format!("comm[{e}] = {c}")));
             }
         }
-        let mut flat = Vec::with_capacity(jobs * resources);
-        for j in 0..resources {
-            for row in comp {
-                flat.push(row[j]);
-            }
-        }
-        Ok(Self {
-            comp: flat,
-            comm,
-            jobs,
-            resources,
-            state_id: fresh_table_state(),
-            history: Vec::new(),
-        })
+        Ok(Self { comp, comm, jobs, resources, state_id: fresh_table_state(), history: Vec::new() })
     }
 
     /// Derive communication costs from a DAG's edge data volumes times a
@@ -120,8 +148,7 @@ impl CostTable {
                 dag.job_count()
             )));
         }
-        let comm = dag.edges().iter().map(|e| e.data * unit_cost).collect();
-        Self::new(comp, comm)
+        Self::new(comp, comm_from_volumes(dag, unit_cost))
     }
 
     /// Number of resources currently covered by the table.
@@ -205,26 +232,41 @@ impl CostTable {
     }
 
     /// Fill `rows` with the **row-major mirror** of the computation table:
-    /// `rows[i * resource_count + r] = w[i][r]`. Blocked transpose
-    /// ([`TRANSPOSE_TILE`]² tiles) so source columns and destination rows
-    /// both stream through the cache instead of one side taking a
-    /// `jobs`-stride miss per element.
+    /// `rows[i * resource_count + r] = w[i][r]`. See
+    /// [`CostTable::write_row_major_columns`].
+    pub fn write_row_major_into(&self, rows: &mut Vec<f64>) {
+        rows.clear();
+        rows.resize(self.jobs * self.resources, 0.0);
+        self.write_row_major_columns(rows, self.resources, 0);
+    }
+
+    /// Write columns `[from, resource_count)` of the **row-major mirror**
+    /// into `rows`, whose rows start `stride` cells apart:
+    /// `rows[i * stride + r] = w[i][r]`. Every other cell is left as it
+    /// is, so a mirror kept at a padded stride absorbs appended columns in
+    /// O(jobs) each. Blocked transpose ([`TRANSPOSE_TILE`]² tiles) so
+    /// source columns and destination rows both stream through the cache
+    /// instead of one side taking a `jobs`-stride miss per element.
     ///
     /// The scheduler's per-job EFT scan reads one job's costs across *all*
     /// resources; against the column-major table that is a `jobs · 8`-byte
     /// stride (one DRAM miss per resource at v=20k), against the mirror it
     /// is one contiguous `R · 8`-byte row. Values are exact copies, so a
     /// scan fed from the mirror is bit-identical to one fed from the table.
+    ///
+    /// # Panics
+    /// Panics if `stride < resource_count` or `rows` is shorter than
+    /// `job_count · stride`.
     // analyzer: hot
-    pub fn write_row_major_into(&self, rows: &mut Vec<f64>) {
-        rows.clear();
-        rows.resize(self.jobs * self.resources, 0.0);
+    pub fn write_row_major_columns(&self, rows: &mut [f64], stride: usize, from: usize) {
+        assert!(stride >= self.resources, "stride {stride} below {} columns", self.resources);
+        assert!(rows.len() >= self.jobs * stride, "mirror shorter than jobs · stride");
         for j0 in (0..self.jobs).step_by(TRANSPOSE_TILE) {
             let j1 = (j0 + TRANSPOSE_TILE).min(self.jobs);
-            for r0 in (0..self.resources).step_by(TRANSPOSE_TILE) {
+            for r0 in (from..self.resources).step_by(TRANSPOSE_TILE) {
                 let r1 = (r0 + TRANSPOSE_TILE).min(self.resources);
                 for i in j0..j1 {
-                    let row = &mut rows[i * self.resources + r0..i * self.resources + r1];
+                    let row = &mut rows[i * stride + r0..i * stride + r1];
                     for (dst, r) in row.iter_mut().zip(r0..r1) {
                         *dst = self.comp[r * self.jobs + i];
                     }
@@ -268,7 +310,7 @@ impl CostTable {
             )));
         }
         for (i, &w) in column.iter().enumerate() {
-            if !w.is_finite() || w < 0.0 {
+            if !is_valid_cost(w) {
                 return Err(WorkflowError::InvalidCost(format!("w[{i}][new] = {w}")));
             }
         }
@@ -342,7 +384,7 @@ impl CostGenerator {
             return Err(WorkflowError::InvalidCost(format!("beta = {beta}")));
         }
         for (i, &w) in omega.iter().enumerate() {
-            if !w.is_finite() || w < 0.0 {
+            if !is_valid_cost(w) {
                 return Err(WorkflowError::InvalidCost(format!("omega[{i}] = {w}")));
             }
         }
@@ -369,45 +411,49 @@ impl CostGenerator {
 
     /// Sample one resource's cost column: `w[i] = ω_i · U[1−β/2, 1+β/2]`.
     pub fn sample_column<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<f64> {
+        let mut column = Vec::with_capacity(self.omega.len());
+        self.push_column(rng, &mut column);
+        column
+    }
+
+    /// Append one sampled column to `out`, drawing as
+    /// [`CostGenerator::sample_column`] does.
+    fn push_column<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut Vec<f64>) {
         let lo = 1.0 - self.beta / 2.0;
         let hi = 1.0 + self.beta / 2.0;
-        self.omega
-            .iter()
-            .map(|&w| {
-                if w == 0.0 {
-                    0.0
-                } else if self.beta == 0.0 {
-                    w
-                } else {
-                    w * rng.random_range(lo..hi)
-                }
-            })
-            .collect()
+        out.extend(self.omega.iter().map(|&w| {
+            if w == 0.0 {
+                0.0
+            } else if self.beta == 0.0 {
+                w
+            } else {
+                w * rng.random_range(lo..hi)
+            }
+        }));
     }
 
     /// Sample a full table for `resources` resources, taking communication
-    /// costs from the DAG's edge volumes (unit network cost).
+    /// costs from the DAG's edge volumes (unit network cost). Columns are
+    /// drawn one after another straight into the table's column-major
+    /// buffer.
     pub fn sample_table<R: Rng + ?Sized>(
         &self,
         dag: &Dag,
         resources: usize,
         rng: &mut R,
     ) -> Result<CostTable, WorkflowError> {
-        if self.omega.len() != dag.job_count() {
+        let jobs = self.omega.len();
+        if jobs != dag.job_count() {
             return Err(WorkflowError::DimensionMismatch(format!(
-                "{} omegas for {} jobs",
-                self.omega.len(),
+                "{jobs} omegas for {} jobs",
                 dag.job_count()
             )));
         }
-        let mut comp = vec![Vec::with_capacity(resources); self.omega.len()];
+        let mut comp = Vec::with_capacity(jobs * resources);
         for _ in 0..resources {
-            let col = self.sample_column(rng);
-            for (row, w) in comp.iter_mut().zip(col) {
-                row.push(w);
-            }
+            self.push_column(rng, &mut comp);
         }
-        CostTable::from_dag_comm(dag, &comp, 1.0)
+        CostTable::from_columns(comp, jobs, resources, comm_from_volumes(dag, 1.0))
     }
 }
 
@@ -520,6 +566,42 @@ mod tests {
     }
 
     #[test]
+    fn sample_table_draws_like_column_by_column_sampling() {
+        let mut b = DagBuilder::new();
+        for i in 0..5 {
+            b.add_job(format!("j{i}"));
+        }
+        let dag = b.build().unwrap();
+        let g = CostGenerator::new(vec![10.0, 0.0, 7.5, 3.0, 12.0], 1.5).unwrap();
+        let table = g.sample_table(&dag, 4, &mut StdRng::seed_from_u64(5)).unwrap();
+        let mut rng = StdRng::seed_from_u64(5);
+        let columns: Vec<Vec<f64>> = (0..4).map(|_| g.sample_column(&mut rng)).collect();
+        let rows: Vec<Vec<f64>> = (0..5).map(|i| columns.iter().map(|c| c[i]).collect()).collect();
+        let expected = CostTable::from_dag_comm(&dag, &rows, 1.0).unwrap();
+        assert_eq!(table.comp, expected.comp);
+        assert_eq!(table.resource_count(), 4);
+        assert!(g.sample_table(&tiny_dag(), 4, &mut rng).is_err(), "5 omegas for 2 jobs");
+    }
+
+    #[test]
+    fn new_reports_the_first_bad_row_in_row_order() {
+        let err = |rows: &[Vec<f64>]| CostTable::new(rows, vec![]).unwrap_err();
+        // Row-major order: w[0][1] comes before w[1][0].
+        let e = err(&[vec![1.0, -1.0], vec![f64::NAN, 1.0]]);
+        assert_eq!(e, WorkflowError::InvalidCost("w[0][1] = -1".into()));
+        // A bad cost above a ragged row is reported first, one below it not.
+        let e = err(&[vec![1.0, f64::INFINITY], vec![1.0]]);
+        assert_eq!(e, WorkflowError::InvalidCost("w[0][1] = inf".into()));
+        let e = err(&[vec![1.0, 2.0], vec![1.0], vec![-3.0, 1.0]]);
+        assert!(matches!(e, WorkflowError::DimensionMismatch(_)), "{e:?}");
+        // Costs are checked before communication costs.
+        let e = CostTable::new(&[vec![-1.0]], vec![-2.0]).unwrap_err();
+        assert_eq!(e, WorkflowError::InvalidCost("w[0][0] = -1".into()));
+        let e = CostTable::new(&[vec![1.0]], vec![-2.0]).unwrap_err();
+        assert_eq!(e, WorkflowError::InvalidCost("comm[0] = -2".into()));
+    }
+
+    #[test]
     fn generator_rejects_invalid() {
         assert!(CostGenerator::new(vec![1.0], -0.5).is_err());
         assert!(CostGenerator::new(vec![-1.0], 0.5).is_err());
@@ -553,6 +635,28 @@ mod tests {
         t.fold_columns_into(&alive, &mut tiled);
         for i in 0..jobs {
             assert_eq!(tiled[i].to_bits(), naive[i].to_bits(), "job {i}");
+        }
+    }
+
+    #[test]
+    fn row_major_columns_fill_a_padded_stride() {
+        let (jobs, resources) = (TRANSPOSE_TILE + 3, TRANSPOSE_TILE + 9);
+        let mut t = big_table(jobs, resources - 1);
+        let stride = 2 * TRANSPOSE_TILE;
+        let mut rows = vec![-1.0; jobs * stride];
+        t.write_row_major_columns(&mut rows, stride, 0);
+        let column: Vec<f64> = (0..jobs).map(|i| i as f64 + 0.25).collect();
+        t.add_resource(&column).unwrap();
+        t.write_row_major_columns(&mut rows, stride, resources - 1);
+        for i in 0..jobs {
+            for r in 0..stride {
+                let want = if r < resources {
+                    t.comp(JobId::from(i), ResourceId::from(r))
+                } else {
+                    -1.0 // padding is never written
+                };
+                assert_eq!(rows[i * stride + r].to_bits(), want.to_bits(), "({i}, {r})");
+            }
         }
     }
 

@@ -17,13 +17,14 @@
 //! The oracle never prunes the EFT scan and always reads the column-major
 //! table, so it is the reference for the production pass: its unconditional
 //! lower-bound prune, its group-fold Eq. 2, and (above the size gate) its
-//! row-major cost mirror.
+//! row-major cost mirror. The mirror's append path is checked against
+//! fresh passes along and off the cost table's append lineage.
 
 use std::collections::HashMap;
 
 use aheft::core::aheft::{
-    aheft_reschedule, aheft_schedule_into, AheftConfig, ReschedulableSet, ScheduleWorkspace,
-    MIRROR_MIN_CELLS,
+    aheft_reschedule, aheft_schedule_into, AheftConfig, PassStats, ReschedulableSet,
+    ScheduleWorkspace, MIRROR_MIN_CELLS,
 };
 use aheft::gridsim::executor::Snapshot;
 use aheft::gridsim::plan::Assignment;
@@ -198,6 +199,48 @@ fn fabricate_snapshot(
     snap
 }
 
+/// Like [`fabricate_snapshot`], but every finished out-edge carries 0–3
+/// committed transfers, arriving at the producer's AFT, at `aft + comm`, at
+/// the retransmit time `clock + comm` or at a fixed later time. Repeated
+/// destinations keep the earliest arrival.
+fn fabricate_multi_transfer_snapshot(
+    dag: &Dag,
+    costs: &CostTable,
+    resources: usize,
+    rng: &mut StdRng,
+) -> Snapshot {
+    let clock = 100.0 + rng.random_range(0.0..200.0);
+    let mut snap = Snapshot::initial(resources);
+    snap.clock = clock;
+    snap.resource_avail = vec![clock; resources];
+    let done = rng.random_range(dag.job_count() / 4..=dag.job_count() * 3 / 4);
+    let topo: Vec<JobId> = dag.topo_order().to_vec();
+    for (k, &j) in topo.iter().take(done).enumerate() {
+        let aft = clock * (0.2 + 0.6 * (k as f64 / done.max(1) as f64));
+        snap.set_finished(j, ResourceId::from(rng.random_range(0..resources)), aft);
+        for &(_, e) in dag.succs(j) {
+            for _ in 0..rng.random_range(0..=3) {
+                let dest = ResourceId::from(rng.random_range(0..resources));
+                let arrival = match rng.random_range(0..4) {
+                    0 => aft,
+                    1 => aft + costs.comm(e),
+                    2 => clock + costs.comm(e),
+                    _ => clock + 40.0,
+                };
+                snap.add_transfer(e, dest, arrival);
+            }
+        }
+    }
+    for &j in topo.iter().skip(done).take(8) {
+        if dag.preds(j).iter().all(|&(p, _)| snap.is_finished(p)) {
+            let r = ResourceId::from(rng.random_range(0..resources));
+            snap.set_running(j, r, clock - 5.0, clock + rng.random_range(1.0..50.0));
+            break;
+        }
+    }
+    snap
+}
+
 /// The size corners of the random range below (jobs 4–80, R 2–20), run
 /// first so every bound is hit whatever the draws.
 const CORNERS: [(usize, usize); 4] = [(4, 2), (4, 20), (80, 2), (80, 20)];
@@ -251,6 +294,42 @@ fn scheduler_matches_prerefactor_oracle_on_random_instances() {
 }
 
 #[test]
+fn finished_fold_matches_the_oracle_with_many_transfers_and_ties() {
+    // Finished predecessors whose out-edges reach several resources, with
+    // arrivals that tie the retransmit time or each other. At CCR 0 every
+    // retransmit is `clock`, so the top retransmitter is a tie.
+    let mut ws = ScheduleWorkspace::new();
+    for seed in 0..40u64 {
+        let mut rng = StdRng::seed_from_u64(5000 + seed);
+        let (jobs, resources) = (rng.random_range(20..=80), rng.random_range(2..=8));
+        let p = RandomDagParams {
+            jobs,
+            out_degree: 0.3,
+            ccr: [0.0, 0.1, 1.0, 5.0][seed as usize % 4],
+            ..RandomDagParams::paper_default()
+        };
+        let wf = generate(&p, &mut rng);
+        let costs = wf.sample_table(resources, &mut rng);
+        let snap = fabricate_multi_transfer_snapshot(&wf.dag, &costs, resources, &mut rng);
+        let alive: Vec<ResourceId> = (0..resources).map(ResourceId::from).collect();
+        for config in [
+            AheftConfig::default(),
+            AheftConfig { reschedulable: ReschedulableSet::NotStarted, ..Default::default() },
+        ] {
+            let (oracle_plan, oracle_predicted) =
+                oracle_reschedule(&wf.dag, &costs, &snap, &alive, &config);
+            let fresh = aheft_reschedule(&wf.dag, &costs, &snap, &alive, &config);
+            assert_identical("fresh-vs-oracle", seed, fresh.plan.assignments(), &oracle_plan);
+            assert_eq!(fresh.predicted_makespan.to_bits(), oracle_predicted.to_bits());
+            let reused =
+                aheft_schedule_into(&wf.dag, &costs, snap.view(), &alive, &config, &mut ws);
+            assert_identical("reused-vs-oracle", seed, ws.assignments(), &oracle_plan);
+            assert_eq!(reused.to_bits(), oracle_predicted.to_bits());
+        }
+    }
+}
+
+#[test]
 fn mirror_pass_matches_the_oracle_above_the_gate() {
     // From `MIRROR_MIN_CELLS` cells on, the EFT scan reads a row-major copy
     // of the cost table, rebuilt whenever the table's state id moves. One
@@ -285,6 +364,59 @@ fn mirror_pass_matches_the_oracle_above_the_gate() {
     let joined = costs.add_resource(&wf.costgen.sample_column(&mut rng)).unwrap();
     alive.push(joined);
     check(&costs, &alive, "after join");
+}
+
+#[test]
+fn mirror_appends_follow_the_table_lineage() {
+    // One reused workspace above the mirror gate follows a table through
+    // joins inside the padded row stride, a batch of joins past it, a clone
+    // that branched off before the last join, and a `truncate_resources`
+    // round trip. Every pass must equal a fresh pass bit for bit, and the
+    // counters show which passes appended and which rebuilt.
+    let (jobs, resources) = (1100usize, 500usize); // row stride 512
+    assert!(jobs * resources >= MIRROR_MIN_CELLS, "instance must sit above the mirror gate");
+    let mut rng = StdRng::seed_from_u64(901);
+    let p =
+        RandomDagParams { jobs, out_degree: 8.0 / jobs as f64, ..RandomDagParams::paper_default() };
+    let wf = generate(&p, &mut rng);
+    let mut costs = wf.sample_table(resources, &mut rng);
+    let snap = fabricate_snapshot(&wf.dag, &costs, resources, &mut rng);
+    let config = AheftConfig::default();
+    let mut ws = ScheduleWorkspace::new();
+    let mut check = |costs: &CostTable, step: &str, builds: u64, appended: u64| {
+        let alive: Vec<ResourceId> = (0..costs.resource_count()).map(ResourceId::from).collect();
+        let fresh = aheft_reschedule(&wf.dag, costs, &snap, &alive, &config);
+        let got = aheft_schedule_into(&wf.dag, costs, snap.view(), &alive, &config, &mut ws);
+        assert_identical(step, 901, ws.assignments(), fresh.plan.assignments());
+        assert_eq!(got.to_bits(), fresh.predicted_makespan.to_bits(), "{step}");
+        let want = PassStats { mirror_builds: builds, mirror_columns_appended: appended };
+        assert_eq!(ws.stats(), want, "{step}");
+    };
+    // A resource ten times cheaper than the others draws work, so a stale
+    // mirror column would change the plan.
+    let cheap = |rng: &mut StdRng| -> Vec<f64> {
+        wf.costgen.sample_column(rng).iter().map(|w| w / 10.0).collect()
+    };
+    check(&costs, "first pass", 1, 0);
+    for k in 1..=3 {
+        costs.add_resource(&wf.costgen.sample_column(&mut rng)).unwrap();
+        check(&costs, &format!("join {k} inside the stride"), 1, k);
+    }
+    while costs.resource_count() < 512 {
+        costs.add_resource(&wf.costgen.sample_column(&mut rng)).unwrap();
+    }
+    let mut branch = costs.clone();
+    costs.add_resource(&wf.costgen.sample_column(&mut rng)).unwrap();
+    check(&costs, "joins past the stride", 2, 3);
+    check(&branch, "branch at its fork point", 3, 3);
+    check(&costs, "original after its ancestor", 3, 4);
+    branch.add_resource(&cheap(&mut rng)).unwrap();
+    check(&branch, "branch after its own join", 4, 4);
+    check(&costs, "original after the branch", 5, 4);
+    assert!(costs.truncate_resources(512));
+    check(&costs, "truncated", 6, 4);
+    costs.add_resource(&cheap(&mut rng)).unwrap();
+    check(&costs, "joined again after the truncation", 6, 5);
 }
 
 #[test]
