@@ -105,11 +105,6 @@ impl Toml {
             _ => default,
         }
     }
-
-    /// True when the section exists at all.
-    pub fn has_section(&self, section: &str) -> bool {
-        self.sections.contains_key(section)
-    }
 }
 
 fn strip_comment(line: &str) -> &str {

@@ -41,28 +41,19 @@
 //! the resource loop — O(preds) state lookups instead of O(R · preds) —
 //! and the inner loop touches only dense arrays.
 //!
-//! A pass runs one sequential code path, whatever the instance. Its only
-//! choice depends on size: from [`MIRROR_MIN_CELLS`] cells on, the EFT scan
-//! reads its costs from a row-major copy of the table, which holds the same
-//! values. The copy's rows are padded, so a resource that joins is appended
-//! to it instead of transposing the whole table again. Per job, Eq. 2's
-//! inner max reduces to a few scalars and a sparse overlay, so the EFT scan
-//! computes each resource's data-ready time itself: one R-wide loop per
-//! job. The scan also skips every resource whose lower bound `est + w`
-//! cannot beat the best EFT found so far.
+//! A pass runs one sequential code path, whatever the instance. The EFT
+//! scan reads each job's costs as one contiguous row of the row-major cost
+//! table. Per job, Eq. 2's inner max reduces to a few scalars and a sparse
+//! overlay, so the scan computes each resource's data-ready time itself:
+//! one R-wide loop per job. The scan also skips every resource whose lower
+//! bound `est + w` cannot beat the best EFT found so far.
 
 use aheft_gridsim::executor::{JobState, Snapshot, SnapshotView};
 use aheft_gridsim::plan::{Assignment, Plan};
 use aheft_gridsim::reservation::{SlotPolicy, SlotTable};
-use aheft_workflow::costs::TRANSPOSE_TILE;
 use aheft_workflow::rank::priority_order_from_ranks_into;
 use aheft_workflow::rank_engine::RankEngine;
 use aheft_workflow::{CostTable, Dag, EdgeId, JobId, ResourceId};
-
-/// Cell count (`jobs · total_resources`) from which a pass builds the
-/// row-major cost mirror: below it the column-major table fits low cache
-/// levels and the transpose would cost more than it saves.
-pub const MIRROR_MIN_CELLS: usize = 1 << 19;
 
 /// Which not-yet-finished jobs a reschedule may move.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -111,19 +102,6 @@ enum PredFea {
     /// The predecessor is pinned or was placed earlier in this pass on `r`,
     /// finishing at `t`; its file reaches any other resource at `t + comm`.
     Scheduled { r: ResourceId, t: f64, comm: f64 },
-}
-
-/// Cumulative work counters of a [`ScheduleWorkspace`], summed over every
-/// pass it ran. Deterministic: they count work, not time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PassStats {
-    /// Full builds of the row-major cost mirror: the first pass above
-    /// [`MIRROR_MIN_CELLS`], a table off the mirror's append lineage, or a
-    /// table that outgrew the mirror's padded row stride.
-    pub mirror_builds: u64,
-    /// Columns written into the mirror's row padding because the table
-    /// grew along its append lineage.
-    pub mirror_columns_appended: u64,
 }
 
 /// Eq. 2's inner max for one job, reduced to what the EFT scan needs per
@@ -202,21 +180,6 @@ pub struct ScheduleWorkspace {
     exc_touched: Vec<u32>,
     /// Assignments of the most recent pass, in placement (rank) order.
     assignments: Vec<Assignment>,
-    /// Row-major mirror of the cost table (`mirror[job · mirror_stride +
-    /// r]`), so the R-wide EFT scan reads one contiguous cache line stream
-    /// per job instead of `jobs`-strided column probes. Values are exact
-    /// copies, so mirror-fed scans are bit-identical to column reads.
-    mirror: Vec<f64>,
-    /// Row stride of `mirror`: the column count it was built for, padded
-    /// up to the next multiple of [`TRANSPOSE_TILE`] above it. Columns
-    /// that join later are written into the padding.
-    mirror_stride: usize,
-    /// [`CostTable::state_id`] the mirror holds. A table whose append
-    /// lineage passes through it ([`CostTable::columns_since`]) only needs
-    /// its newer columns written; any other table rebuilds the mirror.
-    mirror_key: Option<u64>,
-    /// Cumulative work counters.
-    stats: PassStats,
     /// What-if scratch table (see [`crate::whatif`]): a lazily-synced clone
     /// of the caller's base cost table that hypothetical columns are
     /// appended to and truncated back off via
@@ -243,36 +206,6 @@ impl ScheduleWorkspace {
     /// placement (non-increasing rank) order.
     pub fn assignments(&self) -> &[Assignment] {
         &self.assignments
-    }
-
-    /// Work counters summed over every pass this workspace ran.
-    pub fn stats(&self) -> PassStats {
-        self.stats
-    }
-
-    /// Bring the row-major mirror up to `costs`: nothing when it already
-    /// holds this state, the new columns when `costs` grew along the
-    /// mirror's append lineage and still fits the row stride, otherwise a
-    /// full transpose at a freshly padded stride.
-    fn sync_mirror(&mut self, costs: &CostTable) {
-        let columns = costs.resource_count();
-        let held = self.mirror_key.and_then(|key| costs.columns_since(key));
-        match held {
-            Some(held) if columns <= self.mirror_stride => {
-                if held < columns {
-                    costs.write_row_major_columns(&mut self.mirror, self.mirror_stride, held);
-                    self.stats.mirror_columns_appended += (columns - held) as u64;
-                }
-            }
-            _ => {
-                self.mirror_stride = (columns / TRANSPOSE_TILE + 1) * TRANSPOSE_TILE;
-                self.mirror.clear();
-                self.mirror.resize(costs.job_count() * self.mirror_stride, 0.0);
-                costs.write_row_major_columns(&mut self.mirror, self.mirror_stride, 0);
-                self.stats.mirror_builds += 1;
-            }
-        }
-        self.mirror_key = Some(costs.state_id());
     }
 
     /// Build the executable [`Plan`] of the most recent pass (the only
@@ -368,13 +301,6 @@ pub fn aheft_schedule_into(
         ws.order_epoch = Some(epoch);
     }
 
-    // Large instances stream the EFT scan's costs from the row-major
-    // mirror; the values are exact copies, so the schedule is the same.
-    let use_mirror = jobs.saturating_mul(total_resources) >= MIRROR_MIN_CELLS;
-    if use_mirror {
-        ws.sync_mirror(costs);
-    }
-
     if ws.tables.len() < total_resources {
         ws.tables.resize_with(total_resources, SlotTable::new);
     }
@@ -408,13 +334,10 @@ pub fn aheft_schedule_into(
             &mut ws.exc_val,
             &mut ws.exc_touched,
         );
-        let row = use_mirror.then(|| &ws.mirror[job.idx() * ws.mirror_stride..][..total_resources]);
+        let row = costs.row(job);
         let mut best: Option<(f64, f64, ResourceId)> = None; // (eft, start, resource)
         for &r in alive {
-            let w = match row {
-                Some(row) => row[r.idx()],
-                None => costs.comp(job, r),
-            };
+            let w = row[r.idx()];
             let est = fold.ready_at(r, ws.exc_val[r.idx()]).max(ws.floor[r.idx()]);
             // EFT lower-bound prune: `start >= est`, so `eft >= est + w`; a
             // candidate only replaces the running best under strict `<`, so

@@ -47,8 +47,8 @@ pub mod service;
 pub mod whatif;
 
 pub use aheft::{
-    aheft_reschedule, aheft_schedule_into, AheftConfig, PassStats, ReschedulableSet,
-    RescheduleOutcome, ScheduleWorkspace,
+    aheft_reschedule, aheft_schedule_into, AheftConfig, ReschedulableSet, RescheduleOutcome,
+    ScheduleWorkspace,
 };
 pub use heft::heft_schedule;
 pub use minmin::DynamicHeuristic;

@@ -209,7 +209,7 @@ pub fn what_if(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aheft_workflow::sample;
+    use aheft_workflow::{sample, JobId};
 
     fn alive(n: usize) -> Vec<ResourceId> {
         (0..n).map(ResourceId::from).collect()
@@ -479,7 +479,11 @@ mod tests {
     #[test]
     fn removing_last_resource_is_an_error() {
         let dag = sample::fig4_dag();
-        let costs = sample::fig4_costs_initial().truncated(1);
+        let initial = sample::fig4_costs_initial();
+        let first_column: Vec<Vec<f64>> = (0..dag.job_count())
+            .map(|i| vec![initial.comp(JobId::from(i), ResourceId(0))])
+            .collect();
+        let costs = CostTable::from_dag_comm(&dag, &first_column, 1.0).unwrap();
         let err = cold(
             &dag,
             &costs,

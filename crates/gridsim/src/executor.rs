@@ -57,6 +57,40 @@ fn transfer_to(transfers: &[EdgeTransfers], e: EdgeId, resource: ResourceId) -> 
     transfers.get(e.idx())?.iter().find(|&&(r, _)| r == resource).map(|&(_, t)| t)
 }
 
+/// The ledger insert behind [`ExecState::record_transfer`] and
+/// [`Snapshot::add_transfer`].
+fn insert_transfer(
+    transfers: &mut Vec<EdgeTransfers>,
+    e: EdgeId,
+    resource: ResourceId,
+    arrival: f64,
+) {
+    if e.idx() >= transfers.len() {
+        transfers.resize_with(e.idx() + 1, Vec::new);
+    }
+    let dests = &mut transfers[e.idx()];
+    match dests.iter_mut().find(|(r, _)| *r == resource) {
+        Some((_, t)) => *t = t.min(arrival),
+        None => dests.push((resource, arrival)),
+    }
+}
+
+/// [`ExecState::edge_data_available`] and
+/// [`SnapshotView::edge_data_available`], given the producer's state.
+fn data_available(
+    producer: JobState,
+    transfers: &[EdgeTransfers],
+    e: EdgeId,
+    resource: ResourceId,
+) -> Option<f64> {
+    if let JobState::Finished { resource: home, aft, .. } = producer {
+        if home == resource {
+            return Some(aft);
+        }
+    }
+    transfer_to(transfers, e, resource)
+}
+
 /// Mutable execution state of one workflow run.
 #[derive(Debug, Clone)]
 pub struct ExecState {
@@ -180,14 +214,7 @@ impl ExecState {
     /// `arrival`. An earlier existing entry wins (a duplicate transfer
     /// cannot make the data *later*).
     pub fn record_transfer(&mut self, e: EdgeId, resource: ResourceId, arrival: f64) {
-        if e.idx() >= self.transfers.len() {
-            self.transfers.resize_with(e.idx() + 1, Vec::new);
-        }
-        let dests = &mut self.transfers[e.idx()];
-        match dests.iter_mut().find(|(r, _)| *r == resource) {
-            Some((_, t)) => *t = t.min(arrival),
-            None => dests.push((resource, arrival)),
-        }
+        insert_transfer(&mut self.transfers, e, resource, arrival);
     }
 
     /// True if a transfer of edge `e` towards `resource` is committed
@@ -206,12 +233,7 @@ impl ExecState {
         e: EdgeId,
         resource: ResourceId,
     ) -> Option<f64> {
-        if let JobState::Finished { resource: home, aft, .. } = self.states[producer.idx()] {
-            if home == resource {
-                return Some(aft);
-            }
-        }
-        transfer_to(&self.transfers, e, resource)
+        data_available(self.states[producer.idx()], &self.transfers, e, resource)
     }
 
     /// True if every predecessor of `job` has finished and its edge data is
@@ -295,17 +317,10 @@ impl Snapshot {
     }
 
     /// Record a committed transfer of edge `e`'s data towards `resource`,
-    /// arriving at `arrival`. An earlier existing entry wins, mirroring
+    /// arriving at `arrival`. An earlier existing entry wins, as in
     /// [`ExecState::record_transfer`].
     pub fn add_transfer(&mut self, e: EdgeId, resource: ResourceId, arrival: f64) {
-        if e.idx() >= self.transfers.len() {
-            self.transfers.resize_with(e.idx() + 1, Vec::new);
-        }
-        let dests = &mut self.transfers[e.idx()];
-        match dests.iter_mut().find(|(r, _)| *r == resource) {
-            Some((_, t)) => *t = t.min(arrival),
-            None => dests.push((resource, arrival)),
-        }
+        insert_transfer(&mut self.transfers, e, resource, arrival);
     }
 
     /// Earliest availability of edge `e`'s data (produced by `producer`) on
@@ -420,12 +435,7 @@ impl<'a> SnapshotView<'a> {
         e: EdgeId,
         resource: ResourceId,
     ) -> Option<f64> {
-        if let JobState::Finished { resource: home, aft, .. } = self.state(producer) {
-            if home == resource {
-                return Some(aft);
-            }
-        }
-        self.transfer_to(e, resource)
+        data_available(self.state(producer), self.transfers, e, resource)
     }
 }
 

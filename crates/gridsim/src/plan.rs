@@ -73,11 +73,6 @@ impl Plan {
         self.assignment(job).map(|a| a.resource)
     }
 
-    /// Scheduled finish time `SFT(n_i)`.
-    pub fn sft(&self, job: JobId) -> Option<f64> {
-        self.assignment(job).map(|a| a.finish)
-    }
-
     /// Number of scheduled jobs.
     pub fn len(&self) -> usize {
         self.assignments.len()
@@ -186,7 +181,7 @@ mod tests {
             ],
         );
         assert_eq!(p.resource_of(JobId(1)), Some(ResourceId(1)));
-        assert_eq!(p.sft(JobId(0)), Some(10.0));
+        assert_eq!(p.assignment(JobId(0)).map(|a| a.finish), Some(10.0));
         assert_eq!(p.predicted_makespan(), 24.0);
         assert_eq!(p.len(), 2);
     }

@@ -109,15 +109,16 @@ impl SharedPool {
         self.tenant_busy[tenant]
     }
 
-    /// Mean busy fraction of the pool over `[0, horizon]`, counting
-    /// still-held leases as busy through the horizon. Zero for a
-    /// non-positive horizon.
+    /// Mean busy fraction of the pool over `[0, horizon]`: the busy-time
+    /// integral up to the ledger clock. The caller first advances the
+    /// ledger to the horizon ([`SharedPool::advance_to`]), so leases still
+    /// held count as busy through it. Zero for a non-positive horizon.
     pub fn utilization(&self, horizon: f64) -> f64 {
         if horizon <= 0.0 {
             return 0.0;
         }
-        let tail = (horizon - self.now).max(0.0) * self.leased() as f64;
-        ((self.busy_integral + tail) / (self.capacity as f64 * horizon)).clamp(0.0, 1.0)
+        debug_assert!(horizon <= self.now, "ledger at {} not advanced to {horizon}", self.now);
+        (self.busy_integral / (self.capacity as f64 * horizon)).clamp(0.0, 1.0)
     }
 }
 
@@ -161,7 +162,9 @@ mod tests {
     fn utilization_counts_held_leases_through_the_horizon() {
         let mut p = SharedPool::new(2, 1);
         assert!(p.lease(0.0, 0, 1));
-        // Lease still held at the horizon: 1 busy of 2 over [0, 50].
+        // Lease still held at the horizon: once the ledger reaches it,
+        // 1 busy of 2 over [0, 50].
+        p.advance_to(50.0);
         assert!((p.utilization(50.0) - 0.5).abs() < 1e-12);
         assert_eq!(p.utilization(0.0), 0.0);
     }

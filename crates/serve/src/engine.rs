@@ -1,7 +1,7 @@
 //! Batch query evaluation over the scenario store.
 //!
 //! The engine owns one persistent [`ScheduleWorkspace`] per worker (warm
-//! rank cache, row-major mirror, what-if scratch table — all keyed on
+//! rank cache and what-if scratch table, both keyed on
 //! `CostTable::state_id`, so consecutive queries against one scenario
 //! version stay on the workspace fast paths) and a per-version memo: a
 //! response is a pure function of `(scenario version, canonical query)`,

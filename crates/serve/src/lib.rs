@@ -14,7 +14,7 @@
 //!   fixed field order, so identical answers are identical bytes.
 //! * [`engine::QueryEngine`] evaluates batches: every worker owns a
 //!   persistent [`aheft_core::aheft::ScheduleWorkspace`] (warm rank cache
-//!   and row-major mirror keyed on `CostTable::state_id`), repeated
+//!   and what-if scratch table keyed on `CostTable::state_id`), repeated
 //!   queries against one scenario version hit a per-version response
 //!   cache, the current-pool plan runs once per version and planning
 //!   config, and cache misses fan out over

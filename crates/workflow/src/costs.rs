@@ -36,47 +36,54 @@ fn is_valid_cost(w: f64) -> bool {
     w.is_finite() && w >= 0.0
 }
 
-/// Column-major copy of `rows`, each `resources` long.
-fn column_major(rows: &[Vec<f64>], resources: usize) -> Vec<f64> {
-    let mut flat = Vec::with_capacity(rows.len() * resources);
-    for j in 0..resources {
-        flat.extend(rows.iter().map(|row| row[j]));
-    }
-    flat
-}
-
 /// Edge communication costs: each edge's data volume times `unit_cost`
 /// (uniform network).
 fn comm_from_volumes(dag: &Dag, unit_cost: f64) -> Vec<f64> {
     dag.edges().iter().map(|e| e.data * unit_cost).collect()
 }
 
-/// Job-block width of [`CostTable::fold_columns_into`]: 4096 f64 = 32 KiB,
-/// half a typical L1d, leaving room for the streamed column tile.
-pub const FOLD_TILE_JOBS: usize = 4096;
+/// Row-stride quantum of [`CostTable`]: a join that does not fit the row
+/// stride widens it to the next multiple of this above the new column
+/// count, so the joins after it write into the row padding.
+const TRANSPOSE_TILE: usize = 64;
 
-/// Square tile edge of [`CostTable::write_row_major_columns`]: 64×64 f64 =
-/// 32 KiB per tile side, L1/L2-resident for source and destination at once.
-/// A mirror's row stride is padded to a multiple of it.
-pub const TRANSPOSE_TILE: usize = 64;
+/// Columns [`CostGenerator::sample_table`] draws into a scratch block
+/// before it transposes them into the rows: 64 bytes of each row.
+/// Against drawing straight into a column-major buffer, 64-column blocks
+/// sampled 1.1–1.4× slower at a few hundred to a few thousand jobs, where
+/// the block is as large as the table; 8-column blocks are level there
+/// and about as fast as 64-column ones at v = 20k / R = 1024.
+const SAMPLE_BLOCK: usize = 8;
+
+/// Rows [`CostTable::fold_columns_into`] folds side by side: their add
+/// chains are independent, so they overlap instead of waiting on one
+/// another's latency.
+const FOLD_ROWS: usize = 8;
 
 /// Computation and communication cost matrices for one DAG on one
 /// (growable) resource pool.
 ///
-/// Computation costs are stored **column-major in one contiguous buffer**
-/// (`comp[r · jobs + i]` = `w[i][r]`): [`CostTable::comp`] is a single
-/// indexed load, and [`CostTable::add_resource`] — the paper's central
-/// pool-growth mechanic — appends one `jobs`-length column in O(jobs)
-/// without relayouting the existing columns.
+/// Computation costs are stored **row-major in one contiguous buffer**
+/// (`comp[i · stride + r]` = `w[i][r]`), because the scheduler reads one
+/// job's costs across the pool: the EFT scan of Eqs. 1–3 and the rank
+/// average of Eq. 5 both walk [`CostTable::row`]. A table starts with
+/// `stride == resource_count`. [`CostTable::add_resource`] — the paper's
+/// central pool-growth mechanic — writes the new column into the row
+/// padding in O(jobs); when the padding is used up it first widens the
+/// stride in place to the next multiple of `TRANSPOSE_TILE` (64).
 #[derive(Debug, Clone)]
 pub struct CostTable {
-    /// Column-major `w`: `comp[j · jobs + i]` is the cost of job `i` on
-    /// resource `j`.
+    /// Row-major `w`: `comp[i · stride + j]` is the cost of job `i` on
+    /// resource `j < resources`; the rest of each row is padding, never
+    /// read.
     comp: Vec<f64>,
     /// `comm[e]` — cost of edge `e` when endpoints are on different resources.
     comm: Vec<f64>,
     jobs: usize,
     resources: usize,
+    /// Cells per row of `comp`, at least `resources`. Not part of the
+    /// state: a truncated table keeps its wider stride.
+    stride: usize,
     /// Process-unique id of the current column state; see
     /// [`CostTable::state_id`].
     state_id: u64,
@@ -90,40 +97,35 @@ impl CostTable {
     /// Build from explicit matrices. `comp` must have one row per job with
     /// equal lengths; costs must be finite and non-negative.
     pub fn new(comp: &[Vec<f64>], comm: Vec<f64>) -> Result<Self, WorkflowError> {
-        let jobs = comp.len();
-        let resources = comp.first().map_or(0, |r| r.len());
+        let resources = comp.first().map_or(0, Vec::len);
         if let Some(i) = comp.iter().position(|row| row.len() != resources) {
             // Rows are checked in order: a bad cost above the ragged row
             // is the error to report.
-            Self::from_columns(column_major(&comp[..i], resources), i, resources, Vec::new())?;
+            Self::from_rows(comp[..i].concat(), i, resources, Vec::new())?;
             return Err(WorkflowError::DimensionMismatch(format!(
                 "comp row {i} has {} columns, expected {resources}",
                 comp[i].len()
             )));
         }
-        Self::from_columns(column_major(comp, resources), jobs, resources, comm)
+        Self::from_rows(comp.concat(), comp.len(), resources, comm)
     }
 
-    /// Take ownership of a column-major `comp` buffer (`comp[j · jobs + i]`
-    /// = `w[i][j]`) after checking that every cost is finite and
+    /// Take ownership of a row-major `comp` buffer (`comp[i · resources +
+    /// j]` = `w[i][j]`) after checking that every cost is finite and
     /// non-negative. The first bad cell is reported in row-major order.
-    fn from_columns(
+    fn from_rows(
         comp: Vec<f64>,
         jobs: usize,
         resources: usize,
         comm: Vec<f64>,
     ) -> Result<Self, WorkflowError> {
         debug_assert_eq!(comp.len(), jobs * resources);
-        let first_bad = comp
-            .iter()
-            .enumerate()
-            .filter(|&(_, &w)| !is_valid_cost(w))
-            .map(|(k, _)| (k % jobs, k / jobs))
-            .min();
-        if let Some((i, j)) = first_bad {
+        if let Some(k) = comp.iter().position(|&w| !is_valid_cost(w)) {
             return Err(WorkflowError::InvalidCost(format!(
-                "w[{i}][{j}] = {}",
-                comp[j * jobs + i]
+                "w[{}][{}] = {}",
+                k / resources,
+                k % resources,
+                comp[k]
             )));
         }
         for (e, &c) in comm.iter().enumerate() {
@@ -131,7 +133,15 @@ impl CostTable {
                 return Err(WorkflowError::InvalidCost(format!("comm[{e}] = {c}")));
             }
         }
-        Ok(Self { comp, comm, jobs, resources, state_id: fresh_table_state(), history: Vec::new() })
+        Ok(Self {
+            comp,
+            comm,
+            jobs,
+            resources,
+            stride: resources,
+            state_id: fresh_table_state(),
+            history: Vec::new(),
+        })
     }
 
     /// Derive communication costs from a DAG's edge data volumes times a
@@ -163,25 +173,31 @@ impl CostTable {
         self.jobs
     }
 
-    /// Computation cost `w[i][j]` — a single indexed load into the
-    /// contiguous column-major buffer.
+    /// Computation cost `w[i][j]`.
+    ///
+    /// # Panics
+    /// Panics if `job` or `r` lies outside the table.
     #[inline]
     pub fn comp(&self, job: JobId, r: ResourceId) -> f64 {
-        self.comp[r.idx() * self.jobs + job.idx()]
+        self.row(job)[r.idx()]
     }
 
-    /// Resource `r`'s whole cost column as a contiguous slice
-    /// (`column[i] = w[i][r]`) — the streaming access the incremental rank
-    /// engine uses to fold a joining resource into its per-job sums.
+    /// Job `job`'s costs on every resource of the table (`row[r] =
+    /// w[job][r]`), one contiguous slice of exactly
+    /// [`CostTable::resource_count`] cells: the per-job read of the EFT
+    /// scan.
+    ///
+    /// # Panics
+    /// Panics if `job` lies outside the table.
     #[inline]
-    pub fn comp_column(&self, r: ResourceId) -> &[f64] {
-        &self.comp[r.idx() * self.jobs..(r.idx() + 1) * self.jobs]
+    pub fn row(&self, job: JobId) -> &[f64] {
+        &self.comp[job.idx() * self.stride..][..self.resources]
     }
 
     /// Process-unique id of this table's current column state. Columns are
     /// immutable once added, so two tables reporting the same `state_id`
-    /// hold bit-identical `comp`/`comm` contents (clones share the id;
-    /// [`CostTable::add_resource`] draws a fresh one).
+    /// hold bit-identical costs, whatever their row strides (clones share
+    /// the id; [`CostTable::add_resource`] draws a fresh one).
     #[inline]
     pub fn state_id(&self) -> u64 {
         self.state_id
@@ -200,18 +216,16 @@ impl CostTable {
         self.history.iter().rev().find(|&&(id, _)| id == state_id).map(|&(_, n)| n)
     }
 
-    /// Accumulate the listed resources' cost columns into `acc`
-    /// (`acc[i] += w[i][r]` for each `r` in list order), blocked over job
-    /// tiles of [`FOLD_TILE_JOBS`] entries so the accumulator tile stays
-    /// L1-resident across all columns. At v=20k/R=1024 the naive
-    /// column-by-column fold re-streams the 160 KB accumulator once per
-    /// column (~160 MB of avoidable traffic); the tiled fold reads it once.
+    /// Accumulate the listed resources' costs into `acc` (`acc[i] +=
+    /// w[i][r]` for each `r` in list order), reading `FOLD_ROWS` rows side
+    /// by side so their add chains overlap.
     ///
-    /// **Bit-identical** to the naive fold: each job's partial sum still
-    /// sees the columns in exactly the caller's left-to-right order — tiling
-    /// only interleaves work across *different* jobs, never reorders the
-    /// additions within one job. This is the Eq. 5 fold-order contract of
-    /// [`crate::rank::rank_upward_over_into`], which `RankEngine` replays.
+    /// **Bit-identical** to a one-job-at-a-time fold: each job's partial
+    /// sum still sees the columns in exactly the caller's left-to-right
+    /// order — interleaving only overlaps work across *different* jobs,
+    /// never reorders the additions within one job. This is the Eq. 5
+    /// fold-order contract of [`crate::rank::rank_upward_over_into`], which
+    /// `RankEngine` replays.
     ///
     /// # Panics
     /// Panics if `acc.len()` differs from the job count or a resource id
@@ -219,59 +233,36 @@ impl CostTable {
     // analyzer: hot
     pub fn fold_columns_into(&self, resources: &[ResourceId], acc: &mut [f64]) {
         assert_eq!(acc.len(), self.jobs, "accumulator length must equal the job count");
-        for start in (0..self.jobs).step_by(FOLD_TILE_JOBS) {
-            let end = (start + FOLD_TILE_JOBS).min(self.jobs);
-            let tile = &mut acc[start..end];
+        let mut blocks = acc.chunks_exact_mut(FOLD_ROWS);
+        let mut first = 0;
+        for block in blocks.by_ref() {
+            let rows: [&[f64]; FOLD_ROWS] =
+                std::array::from_fn(|k| self.row(JobId::from(first + k)));
+            let mut sums = [0.0; FOLD_ROWS];
+            sums.copy_from_slice(block);
             for &r in resources {
-                let col = &self.comp[r.idx() * self.jobs + start..r.idx() * self.jobs + end];
-                for (a, &w) in tile.iter_mut().zip(col) {
-                    *a += w;
+                for (sum, row) in sums.iter_mut().zip(&rows) {
+                    *sum += row[r.idx()];
                 }
+            }
+            block.copy_from_slice(&sums);
+            first += FOLD_ROWS;
+        }
+        for (sum, i) in blocks.into_remainder().iter_mut().zip(first..) {
+            let row = self.row(JobId::from(i));
+            for &r in resources {
+                *sum += row[r.idx()];
             }
         }
     }
 
-    /// Fill `rows` with the **row-major mirror** of the computation table:
-    /// `rows[i * resource_count + r] = w[i][r]`. See
-    /// [`CostTable::write_row_major_columns`].
+    /// Fill `rows` with the computation table at an unpadded stride:
+    /// `rows[i * resource_count + r] = w[i][r]`, one row copy per job.
     pub fn write_row_major_into(&self, rows: &mut Vec<f64>) {
         rows.clear();
-        rows.resize(self.jobs * self.resources, 0.0);
-        self.write_row_major_columns(rows, self.resources, 0);
-    }
-
-    /// Write columns `[from, resource_count)` of the **row-major mirror**
-    /// into `rows`, whose rows start `stride` cells apart:
-    /// `rows[i * stride + r] = w[i][r]`. Every other cell is left as it
-    /// is, so a mirror kept at a padded stride absorbs appended columns in
-    /// O(jobs) each. Blocked transpose ([`TRANSPOSE_TILE`]² tiles) so
-    /// source columns and destination rows both stream through the cache
-    /// instead of one side taking a `jobs`-stride miss per element.
-    ///
-    /// The scheduler's per-job EFT scan reads one job's costs across *all*
-    /// resources; against the column-major table that is a `jobs · 8`-byte
-    /// stride (one DRAM miss per resource at v=20k), against the mirror it
-    /// is one contiguous `R · 8`-byte row. Values are exact copies, so a
-    /// scan fed from the mirror is bit-identical to one fed from the table.
-    ///
-    /// # Panics
-    /// Panics if `stride < resource_count` or `rows` is shorter than
-    /// `job_count · stride`.
-    // analyzer: hot
-    pub fn write_row_major_columns(&self, rows: &mut [f64], stride: usize, from: usize) {
-        assert!(stride >= self.resources, "stride {stride} below {} columns", self.resources);
-        assert!(rows.len() >= self.jobs * stride, "mirror shorter than jobs · stride");
-        for j0 in (0..self.jobs).step_by(TRANSPOSE_TILE) {
-            let j1 = (j0 + TRANSPOSE_TILE).min(self.jobs);
-            for r0 in (from..self.resources).step_by(TRANSPOSE_TILE) {
-                let r1 = (r0 + TRANSPOSE_TILE).min(self.resources);
-                for i in j0..j1 {
-                    let row = &mut rows[i * stride + r0..i * stride + r1];
-                    for (dst, r) in row.iter_mut().zip(r0..r1) {
-                        *dst = self.comp[r * self.jobs + i];
-                    }
-                }
-            }
+        rows.reserve(self.jobs * self.resources);
+        for i in 0..self.jobs {
+            rows.extend_from_slice(self.row(JobId::from(i)));
         }
     }
 
@@ -300,7 +291,8 @@ impl CostTable {
     }
 
     /// Append one resource column: `column[i]` is `w[i][new]`. O(jobs): the
-    /// column is appended to the contiguous column-major buffer.
+    /// column is written into the row padding, after widening the stride
+    /// when the rows are full.
     pub fn add_resource(&mut self, column: &[f64]) -> Result<ResourceId, WorkflowError> {
         if column.len() != self.jobs {
             return Err(WorkflowError::DimensionMismatch(format!(
@@ -314,21 +306,40 @@ impl CostTable {
                 return Err(WorkflowError::InvalidCost(format!("w[{i}][new] = {w}")));
             }
         }
-        self.comp.extend_from_slice(column);
-        let id = ResourceId::from(self.resources);
-        self.history.push((self.state_id, self.resources));
+        let r = self.resources;
+        if r == self.stride {
+            self.restride(((r + 1) / TRANSPOSE_TILE + 1) * TRANSPOSE_TILE);
+        }
+        for (cell, &w) in self.comp.iter_mut().skip(r).step_by(self.stride).zip(column) {
+            *cell = w;
+        }
+        let id = ResourceId::from(r);
+        self.history.push((self.state_id, r));
         self.state_id = fresh_table_state();
         self.resources += 1;
         Ok(id)
     }
 
+    /// Widen the row stride to `stride` in place: grow the buffer, then
+    /// move the rows from the last to the first, so each row lands on
+    /// cells whose old contents have already moved (or are its own).
+    fn restride(&mut self, stride: usize) {
+        let old = self.stride;
+        let len = self.jobs * stride;
+        self.comp.reserve_exact(len - self.comp.len());
+        self.comp.resize(len, 0.0);
+        for i in (1..self.jobs).rev() {
+            self.comp.copy_within(i * old..i * old + self.resources, i * stride);
+        }
+        self.stride = stride;
+    }
+
     /// Truncate the table back to `r` resources **in place** by walking the
     /// append lineage backwards: each undone [`Self::add_resource`] pops its
     /// history entry and restores the `state_id` the table had before that
-    /// append. The column buffer keeps its capacity, so an
-    /// append/evaluate/truncate cycle (the what-if scratch path) allocates
-    /// nothing once the buffer has grown to steady state — unlike
-    /// [`Self::truncated`], which copies into a fresh, lineage-less table.
+    /// append. The buffer and its stride stay as they are (the dropped
+    /// columns become padding), so an append/evaluate/truncate cycle (the
+    /// what-if scratch path) allocates nothing once the stride has room.
     ///
     /// Returns `true` when `r` was reached via the lineage. When `r` is not
     /// a recorded lineage state (below the oldest append, or above the
@@ -345,25 +356,7 @@ impl CostTable {
             self.state_id = id;
             self.resources = n;
         }
-        self.comp.truncate(self.resources * self.jobs);
         true
-    }
-
-    /// Restrict the table to the first `r` resources (used to compare "what
-    /// if the pool never grew" scenarios). O(jobs · r): a prefix copy of the
-    /// column-major buffer.
-    pub fn truncated(&self, r: usize) -> Self {
-        let r = r.min(self.resources);
-        Self {
-            comp: self.comp[..r * self.jobs].to_vec(),
-            comm: self.comm.clone(),
-            jobs: self.jobs,
-            resources: r,
-            // A truncation is a new state outside the append lineage (its
-            // column set shrank), so it gets a fresh, history-less id.
-            state_id: fresh_table_state(),
-            history: Vec::new(),
-        }
     }
 }
 
@@ -411,31 +404,32 @@ impl CostGenerator {
 
     /// Sample one resource's cost column: `w[i] = ω_i · U[1−β/2, 1+β/2]`.
     pub fn sample_column<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<f64> {
-        let mut column = Vec::with_capacity(self.omega.len());
-        self.push_column(rng, &mut column);
+        let mut column = vec![0.0; self.omega.len()];
+        self.draw_column(rng, &mut column);
         column
     }
 
-    /// Append one sampled column to `out`, drawing as
-    /// [`CostGenerator::sample_column`] does.
-    fn push_column<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut Vec<f64>) {
+    /// Fill `column` (one cell per job) as [`CostGenerator::sample_column`]
+    /// draws it.
+    fn draw_column<R: Rng + ?Sized>(&self, rng: &mut R, column: &mut [f64]) {
         let lo = 1.0 - self.beta / 2.0;
         let hi = 1.0 + self.beta / 2.0;
-        out.extend(self.omega.iter().map(|&w| {
-            if w == 0.0 {
+        for (cell, &w) in column.iter_mut().zip(&self.omega) {
+            *cell = if w == 0.0 {
                 0.0
             } else if self.beta == 0.0 {
                 w
             } else {
                 w * rng.random_range(lo..hi)
-            }
-        }));
+            };
+        }
     }
 
     /// Sample a full table for `resources` resources, taking communication
     /// costs from the DAG's edge volumes (unit network cost). Columns are
-    /// drawn one after another straight into the table's column-major
-    /// buffer.
+    /// drawn one after another, as [`CostGenerator::sample_column`] draws
+    /// them, in blocks of `SAMPLE_BLOCK` (8) that are transposed into the
+    /// table's rows.
     pub fn sample_table<R: Rng + ?Sized>(
         &self,
         dag: &Dag,
@@ -449,11 +443,20 @@ impl CostGenerator {
                 dag.job_count()
             )));
         }
-        let mut comp = Vec::with_capacity(jobs * resources);
-        for _ in 0..resources {
-            self.push_column(rng, &mut comp);
+        let mut comp = vec![0.0; jobs * resources];
+        let mut block = vec![0.0; jobs * resources.min(SAMPLE_BLOCK)];
+        for r0 in (0..resources).step_by(SAMPLE_BLOCK) {
+            let width = SAMPLE_BLOCK.min(resources - r0);
+            for c in 0..width {
+                self.draw_column(rng, &mut block[c * jobs..(c + 1) * jobs]);
+            }
+            for (i, row) in comp.chunks_exact_mut(resources).enumerate() {
+                for (c, cell) in row[r0..r0 + width].iter_mut().enumerate() {
+                    *cell = block[c * jobs + i];
+                }
+            }
         }
-        CostTable::from_columns(comp, jobs, resources, comm_from_volumes(dag, 1.0))
+        CostTable::from_rows(comp, jobs, resources, comm_from_volumes(dag, 1.0))
     }
 }
 
@@ -538,16 +541,6 @@ mod tests {
     }
 
     #[test]
-    fn truncated_drops_columns() {
-        let d = tiny_dag();
-        let t = CostTable::from_dag_comm(&d, &[vec![1.0, 9.0], vec![2.0, 9.0]], 1.0).unwrap();
-        let t2 = t.truncated(1);
-        assert_eq!(t2.resource_count(), 1);
-        assert_eq!(t2.comp(JobId(0), ResourceId(0)), 1.0);
-        assert_eq!(t2.comp(JobId(1), ResourceId(0)), 2.0);
-    }
-
-    #[test]
     fn generator_respects_beta_bounds() {
         let mut rng = StdRng::seed_from_u64(42);
         let g = CostGenerator::new(vec![100.0, 50.0], 1.0).unwrap();
@@ -573,13 +566,20 @@ mod tests {
         }
         let dag = b.build().unwrap();
         let g = CostGenerator::new(vec![10.0, 0.0, 7.5, 3.0, 12.0], 1.5).unwrap();
-        let table = g.sample_table(&dag, 4, &mut StdRng::seed_from_u64(5)).unwrap();
+        // One block, and several with a partial last one.
+        for resources in [4, 2 * SAMPLE_BLOCK + 3] {
+            let table = g.sample_table(&dag, resources, &mut StdRng::seed_from_u64(5)).unwrap();
+            let mut rng = StdRng::seed_from_u64(5);
+            let columns: Vec<Vec<f64>> =
+                (0..resources).map(|_| g.sample_column(&mut rng)).collect();
+            let rows: Vec<Vec<f64>> =
+                (0..5).map(|i| columns.iter().map(|c| c[i]).collect()).collect();
+            let expected = CostTable::from_dag_comm(&dag, &rows, 1.0).unwrap();
+            assert_eq!(table.comp, expected.comp, "{resources} resources");
+            assert_eq!(table.resource_count(), resources);
+            assert_eq!(table.stride, resources, "a sampled table is tight");
+        }
         let mut rng = StdRng::seed_from_u64(5);
-        let columns: Vec<Vec<f64>> = (0..4).map(|_| g.sample_column(&mut rng)).collect();
-        let rows: Vec<Vec<f64>> = (0..5).map(|i| columns.iter().map(|c| c[i]).collect()).collect();
-        let expected = CostTable::from_dag_comm(&dag, &rows, 1.0).unwrap();
-        assert_eq!(table.comp, expected.comp);
-        assert_eq!(table.resource_count(), 4);
         assert!(g.sample_table(&tiny_dag(), 4, &mut rng).is_err(), "5 omegas for 2 jobs");
     }
 
@@ -607,74 +607,104 @@ mod tests {
         assert!(CostGenerator::new(vec![-1.0], 0.5).is_err());
     }
 
-    /// A table larger than one fold tile / transpose tile, with distinct
-    /// pseudo-random finite values so order bugs cannot cancel out.
+    /// A table with distinct pseudo-random finite values, so order bugs
+    /// cannot cancel out.
     fn big_table(jobs: usize, resources: usize) -> CostTable {
-        let comp: Vec<Vec<f64>> = (0..jobs)
-            .map(|i| {
-                (0..resources)
-                    .map(|r| (((i * 31 + r * 17 + 7) % 1000) as f64) / 8.0 + 0.5)
-                    .collect()
-            })
-            .collect();
+        let comp: Vec<Vec<f64>> =
+            (0..jobs).map(|i| (0..resources).map(|r| cost_at(i, r)).collect()).collect();
         CostTable::new(&comp, vec![]).unwrap()
+    }
+
+    fn cost_at(i: usize, r: usize) -> f64 {
+        (((i * 31 + r * 17 + 7) % 1000) as f64) / 8.0 + 0.5
+    }
+
+    /// Append `count` columns that continue [`cost_at`]'s pattern.
+    fn join(t: &mut CostTable, count: usize) {
+        for _ in 0..count {
+            let r = t.resource_count();
+            let column: Vec<f64> = (0..t.job_count()).map(|i| cost_at(i, r)).collect();
+            t.add_resource(&column).unwrap();
+        }
+    }
+
+    fn assert_costs(t: &CostTable, label: &str) {
+        for i in 0..t.job_count() {
+            for r in 0..t.resource_count() {
+                let got = t.comp(JobId::from(i), ResourceId::from(r));
+                assert_eq!(got.to_bits(), cost_at(i, r).to_bits(), "{label}: ({i}, {r})");
+            }
+        }
     }
 
     #[test]
     fn fold_columns_into_is_bit_identical_to_naive_fold() {
-        let jobs = FOLD_TILE_JOBS + 137; // straddle a tile boundary
-        let t = big_table(jobs, 5);
-        let alive: Vec<ResourceId> = [4, 0, 2].into_iter().map(ResourceId::from).collect();
-        let mut naive = vec![0.25f64; jobs]; // non-zero seed: order matters
-        for &r in &alive {
-            for (a, &w) in naive.iter_mut().zip(t.comp_column(r)) {
-                *a += w;
+        // Job counts below, at and off a multiple of the interleave width,
+        // on a padded table.
+        for jobs in [3, FOLD_ROWS, 4 * FOLD_ROWS + 5] {
+            let mut t = big_table(jobs, 5);
+            join(&mut t, 2);
+            let alive: Vec<ResourceId> = [4, 0, 6, 2].into_iter().map(ResourceId::from).collect();
+            let mut naive = vec![0.25f64; jobs]; // non-zero seed: order matters
+            for (i, a) in naive.iter_mut().enumerate() {
+                for &r in &alive {
+                    *a += t.comp(JobId::from(i), r);
+                }
             }
-        }
-        let mut tiled = vec![0.25f64; jobs];
-        t.fold_columns_into(&alive, &mut tiled);
-        for i in 0..jobs {
-            assert_eq!(tiled[i].to_bits(), naive[i].to_bits(), "job {i}");
+            let mut folded = vec![0.25f64; jobs];
+            t.fold_columns_into(&alive, &mut folded);
+            for i in 0..jobs {
+                assert_eq!(folded[i].to_bits(), naive[i].to_bits(), "{jobs} jobs: job {i}");
+            }
         }
     }
 
     #[test]
     fn row_major_columns_fill_a_padded_stride() {
+        // A tight table re-strides on its first join, fills the padding,
+        // then re-strides again; every cost survives every move.
+        let jobs = 7;
+        let mut t = big_table(jobs, TRANSPOSE_TILE - 2);
+        assert_eq!(t.stride, TRANSPOSE_TILE - 2);
+        join(&mut t, 1);
+        assert_eq!(t.stride, TRANSPOSE_TILE);
+        assert_costs(&t, "first re-stride");
+        join(&mut t, 1);
+        assert_eq!(t.stride, TRANSPOSE_TILE, "a join that fits writes into the padding");
+        assert_costs(&t, "join into the padding");
+        join(&mut t, TRANSPOSE_TILE);
+        assert_eq!(t.stride, 2 * TRANSPOSE_TILE);
+        assert_costs(&t, "second re-stride");
+        assert_eq!(t.row(JobId(3)).len(), t.resource_count());
+    }
+
+    #[test]
+    fn write_row_major_into_copies_the_unpadded_rows() {
+        // `write_row_major_into` writes the unpadded rows, even from a
+        // padded table with stale columns past its count.
         let (jobs, resources) = (TRANSPOSE_TILE + 3, TRANSPOSE_TILE + 9);
-        let mut t = big_table(jobs, resources - 1);
-        let stride = 2 * TRANSPOSE_TILE;
-        let mut rows = vec![-1.0; jobs * stride];
-        t.write_row_major_columns(&mut rows, stride, 0);
-        let column: Vec<f64> = (0..jobs).map(|i| i as f64 + 0.25).collect();
-        t.add_resource(&column).unwrap();
-        t.write_row_major_columns(&mut rows, stride, resources - 1);
+        let mut t = big_table(jobs, resources);
+        let base = t.resource_count();
+        join(&mut t, 3);
+        assert!(t.truncate_resources(base + 1));
+        let mut rows = vec![1.0; 3]; // stale contents must be discarded
+        t.write_row_major_into(&mut rows);
+        let columns = t.resource_count();
+        assert_eq!(rows.len(), jobs * columns);
         for i in 0..jobs {
-            for r in 0..stride {
-                let want = if r < resources {
-                    t.comp(JobId::from(i), ResourceId::from(r))
-                } else {
-                    -1.0 // padding is never written
-                };
-                assert_eq!(rows[i * stride + r].to_bits(), want.to_bits(), "({i}, {r})");
+            for r in 0..columns {
+                assert_eq!(rows[i * columns + r].to_bits(), cost_at(i, r).to_bits(), "({i}, {r})");
             }
         }
     }
 
     #[test]
-    fn row_major_mirror_matches_comp() {
-        let (jobs, resources) = (TRANSPOSE_TILE + 3, TRANSPOSE_TILE + 9);
-        let t = big_table(jobs, resources);
-        let mut rows = vec![1.0; 3]; // stale contents must be discarded
-        t.write_row_major_into(&mut rows);
-        assert_eq!(rows.len(), jobs * resources);
-        for i in 0..jobs {
-            for r in 0..resources {
-                assert_eq!(
-                    rows[i * resources + r].to_bits(),
-                    t.comp(JobId::from(i), ResourceId::from(r)).to_bits(),
-                    "({i}, {r})"
-                );
-            }
-        }
+    #[should_panic(expected = "index out of bounds")]
+    fn comp_beyond_the_resource_count_panics_after_a_truncation() {
+        let mut t = big_table(4, 3);
+        join(&mut t, 2);
+        assert!(t.truncate_resources(3));
+        // Column 3 still sits in the row padding, but it is not in the table.
+        let _ = t.comp(JobId(1), ResourceId(3));
     }
 }

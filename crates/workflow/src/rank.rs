@@ -46,8 +46,7 @@ pub fn rank_upward_over_into(
 ) {
     rank.clear();
     rank.resize(dag.job_count(), 0.0);
-    // Tiled prepass: fold the alive columns into per-job sums with cache-
-    // resident job tiles instead of one strided probe per job. Per job the
+    // Prepass: fold each job's alive costs into its sum. Per job the
     // additions happen in the caller's left-to-right alive order: that
     // order is the Eq. 5 fold-order contract `RankEngine` replays.
     costs.fold_columns_into(alive, rank);

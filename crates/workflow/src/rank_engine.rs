@@ -4,8 +4,8 @@
 //! rescheduling instant (paper Fig. 2 line 5). Done from scratch that is
 //! `O(jobs · |pool|)` for the average computation costs plus
 //! `O(jobs + edges)` for the reverse-topological sweep — and the
-//! `O(jobs · |pool|)` part walks the cost table with a `jobs`-sized stride,
-//! which dominates the planner hot path at sweep scale (v=1000, R=100).
+//! `O(jobs · |pool|)` part dominates the planner hot path at sweep scale
+//! (v=1000, R=100).
 //!
 //! [`RankEngine`] removes that cost from the steady state by caching, per
 //! job, the **sum of computation costs over the alive set** (in the exact
@@ -14,13 +14,12 @@
 //! deltas:
 //!
 //! * **Pool growth** — the paper's central mechanic — appends columns to
-//!   the alive set. The cached sums absorb each new column with one
-//!   contiguous streaming add: `O(jobs)` per joined resource, and the
-//!   rank sweep that follows is `O(jobs + edges)`.
-//! * **Pool shrink / arbitrary pool change** rebuilds the sums, but as
-//!   column-wise streaming adds over the contiguous column-major table
-//!   instead of per-job strided loads — same f64 operation order, far
-//!   fewer cache misses.
+//!   the alive set. The cached sums absorb each new column with one add
+//!   per job: `O(jobs)` per joined resource, and the rank sweep that
+//!   follows is `O(jobs + edges)`.
+//! * **Pool shrink / arbitrary pool change** rebuilds the sums: each
+//!   job's contiguous cost row, folded with several rows side by side —
+//!   same f64 operation order per job.
 //! * **Job completions** leave the averages untouched, so an evaluation
 //!   triggered with an unchanged pool is a pure cache hit: the engine
 //!   returns immediately and the scheduler skips its rank sort too.
@@ -140,17 +139,16 @@ impl RankEngine {
                 self.key = Some(key);
                 return self.epoch;
             }
-            // Pool-growth delta: fold the new columns into the sums with
-            // job-tiled streaming adds. Appending to the left-to-right
+            // Pool-growth delta: fold the new columns into the sums, a
+            // strided gather down the rows. Appending to the left-to-right
             // fold is bit-identical to re-summing the extended alive set.
             costs.fold_columns_into(appended, &mut self.comp_sum);
             self.alive.extend_from_slice(appended);
             self.key = Some(key);
             self.sweep(dag, costs, &finished, false);
         } else {
-            // Full rebuild — job-tiled column-wise streaming adds
-            // (identical per-job fold order, cache-resident accumulator
-            // tiles) rather than per-job strided loads.
+            // Full rebuild: each job's row folded left to right, several
+            // rows side by side (identical per-job fold order).
             self.comp_sum.clear();
             self.comp_sum.resize(jobs, 0.0);
             self.avg.clear();

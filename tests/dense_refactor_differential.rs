@@ -14,17 +14,17 @@
 //! bits) whether produced by the oracle, by a fresh workspace, or by a
 //! dirty workspace reused across unrelated instances.
 //!
-//! The oracle never prunes the EFT scan and always reads the column-major
-//! table, so it is the reference for the production pass: its unconditional
-//! lower-bound prune, its group-fold Eq. 2, and (above the size gate) its
-//! row-major cost mirror. The mirror's append path is checked against
-//! fresh passes along and off the cost table's append lineage.
+//! The oracle never prunes the EFT scan and reads costs one `comp(i, r)` at
+//! a time, so it is the reference for the production pass: its
+//! unconditional lower-bound prune, its group-fold Eq. 2 and its per-job
+//! cost rows. A table grown by joins (row padding, re-strides, branched
+//! clones, truncations) is checked against one built at once from the same
+//! columns.
 
 use std::collections::HashMap;
 
 use aheft::core::aheft::{
-    aheft_reschedule, aheft_schedule_into, AheftConfig, PassStats, ReschedulableSet,
-    ScheduleWorkspace, MIRROR_MIN_CELLS,
+    aheft_reschedule, aheft_schedule_into, AheftConfig, ReschedulableSet, ScheduleWorkspace,
 };
 use aheft::gridsim::executor::Snapshot;
 use aheft::gridsim::plan::Assignment;
@@ -331,12 +331,9 @@ fn finished_fold_matches_the_oracle_with_many_transfers_and_ties() {
 
 #[test]
 fn mirror_pass_matches_the_oracle_above_the_gate() {
-    // From `MIRROR_MIN_CELLS` cells on, the EFT scan reads a row-major copy
-    // of the cost table, rebuilt whenever the table's state id moves. One
-    // reused workspace schedules a mid-run instance above the gate, then
-    // again after a resource joins, which forces the rebuild.
+    // A large mid-run instance on one reused workspace, then again after a
+    // resource joins, which re-strides the tight sampled table.
     let (jobs, resources) = (1100usize, 480usize);
-    assert!(jobs * resources >= MIRROR_MIN_CELLS, "instance must sit above the mirror gate");
     let mut rng = StdRng::seed_from_u64(900);
     let p =
         RandomDagParams { jobs, out_degree: 8.0 / jobs as f64, ..RandomDagParams::paper_default() };
@@ -368,55 +365,67 @@ fn mirror_pass_matches_the_oracle_above_the_gate() {
 
 #[test]
 fn mirror_appends_follow_the_table_lineage() {
-    // One reused workspace above the mirror gate follows a table through
-    // joins inside the padded row stride, a batch of joins past it, a clone
-    // that branched off before the last join, and a `truncate_resources`
-    // round trip. Every pass must equal a fresh pass bit for bit, and the
-    // counters show which passes appended and which rebuilt.
-    let (jobs, resources) = (1100usize, 500usize); // row stride 512
-    assert!(jobs * resources >= MIRROR_MIN_CELLS, "instance must sit above the mirror gate");
+    // One reused workspace follows a table through joins inside the row
+    // padding, a batch of joins that forces a re-stride, a clone that
+    // branched off before the last join, and a `truncate_resources` round
+    // trip. Every pass must equal, bit for bit, a fresh pass over a table
+    // built at once from the same columns: a fresh pass over the grown
+    // table itself would share any layout bug.
+    let (jobs, resources) = (1100usize, 500usize); // first re-stride: 512
     let mut rng = StdRng::seed_from_u64(901);
     let p =
         RandomDagParams { jobs, out_degree: 8.0 / jobs as f64, ..RandomDagParams::paper_default() };
     let wf = generate(&p, &mut rng);
+    // The columns `sample_table` draws, drawn again from a copy of its RNG.
+    let mut columns: Vec<Vec<f64>> = {
+        let mut draw = rng.clone();
+        (0..resources).map(|_| wf.costgen.sample_column(&mut draw)).collect()
+    };
     let mut costs = wf.sample_table(resources, &mut rng);
     let snap = fabricate_snapshot(&wf.dag, &costs, resources, &mut rng);
     let config = AheftConfig::default();
     let mut ws = ScheduleWorkspace::new();
-    let mut check = |costs: &CostTable, step: &str, builds: u64, appended: u64| {
-        let alive: Vec<ResourceId> = (0..costs.resource_count()).map(ResourceId::from).collect();
-        let fresh = aheft_reschedule(&wf.dag, costs, &snap, &alive, &config);
+    let mut check = |costs: &CostTable, columns: &[Vec<f64>], step: &str| {
+        assert_eq!(costs.resource_count(), columns.len(), "{step}");
+        let rows: Vec<Vec<f64>> =
+            (0..jobs).map(|i| columns.iter().map(|c| c[i]).collect()).collect();
+        let built = CostTable::from_dag_comm(&wf.dag, &rows, 1.0).unwrap();
+        let alive: Vec<ResourceId> = (0..columns.len()).map(ResourceId::from).collect();
+        let fresh = aheft_reschedule(&wf.dag, &built, &snap, &alive, &config);
         let got = aheft_schedule_into(&wf.dag, costs, snap.view(), &alive, &config, &mut ws);
         assert_identical(step, 901, ws.assignments(), fresh.plan.assignments());
         assert_eq!(got.to_bits(), fresh.predicted_makespan.to_bits(), "{step}");
-        let want = PassStats { mirror_builds: builds, mirror_columns_appended: appended };
-        assert_eq!(ws.stats(), want, "{step}");
+    };
+    let join = |costs: &mut CostTable, columns: &mut Vec<Vec<f64>>, column: Vec<f64>| {
+        costs.add_resource(&column).unwrap();
+        columns.push(column);
     };
     // A resource ten times cheaper than the others draws work, so a stale
-    // mirror column would change the plan.
+    // or misplaced column would change the plan.
     let cheap = |rng: &mut StdRng| -> Vec<f64> {
         wf.costgen.sample_column(rng).iter().map(|w| w / 10.0).collect()
     };
-    check(&costs, "first pass", 1, 0);
+    check(&costs, &columns, "first pass");
     for k in 1..=3 {
-        costs.add_resource(&wf.costgen.sample_column(&mut rng)).unwrap();
-        check(&costs, &format!("join {k} inside the stride"), 1, k);
+        join(&mut costs, &mut columns, wf.costgen.sample_column(&mut rng));
+        check(&costs, &columns, &format!("join {k}: re-stride, then into the padding"));
     }
     while costs.resource_count() < 512 {
-        costs.add_resource(&wf.costgen.sample_column(&mut rng)).unwrap();
+        join(&mut costs, &mut columns, wf.costgen.sample_column(&mut rng));
     }
-    let mut branch = costs.clone();
-    costs.add_resource(&wf.costgen.sample_column(&mut rng)).unwrap();
-    check(&costs, "joins past the stride", 2, 3);
-    check(&branch, "branch at its fork point", 3, 3);
-    check(&costs, "original after its ancestor", 3, 4);
-    branch.add_resource(&cheap(&mut rng)).unwrap();
-    check(&branch, "branch after its own join", 4, 4);
-    check(&costs, "original after the branch", 5, 4);
+    let (mut branch, mut branch_columns) = (costs.clone(), columns.clone());
+    join(&mut costs, &mut columns, wf.costgen.sample_column(&mut rng));
+    check(&costs, &columns, "joins past the stride");
+    check(&branch, &branch_columns, "branch at its fork point");
+    check(&costs, &columns, "original after its ancestor");
+    join(&mut branch, &mut branch_columns, cheap(&mut rng));
+    check(&branch, &branch_columns, "branch after its own join");
+    check(&costs, &columns, "original after the branch");
     assert!(costs.truncate_resources(512));
-    check(&costs, "truncated", 6, 4);
-    costs.add_resource(&cheap(&mut rng)).unwrap();
-    check(&costs, "joined again after the truncation", 6, 5);
+    columns.truncate(512);
+    check(&costs, &columns, "truncated");
+    join(&mut costs, &mut columns, cheap(&mut rng));
+    check(&costs, &columns, "joined again after the truncation");
 }
 
 #[test]

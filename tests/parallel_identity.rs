@@ -1,26 +1,24 @@
-//! Property gate for the two cost kernels of one scheduling pass: over
+//! Property gate for one scheduling pass across tables and threads: over
 //! random DAGs, pools, mid-run snapshots (finished jobs, committed
 //! transfers, running jobs) and worker threads, one pass must produce
 //! **byte-identical** results — same assignment sequence, same f64 bit
 //! patterns, same predicted makespan — whether
 //!
-//! * the EFT scan reads the column-major cost table (instances below
-//!   [`MIRROR_MIN_CELLS`]) or the row-major mirror (instances from it on),
+//! * the pass reads the sampled cost table, or a padded copy of it that
+//!   also holds columns of departed resources (never alive, which a pass
+//!   must ignore) at a wider row stride, with stale columns left in its
+//!   row padding by a truncation,
 //! * the pass runs on the calling thread or on other threads, each with a
 //!   workspace of its own, as the query service's workers do,
 //! * the workspace is cold, warm from the same instance, or warm from the
-//!   other kernel's table.
+//!   other table.
 //!
-//! The size gate is the only kernel switch, so the mirror is reached on
-//! small random instances by padding the cost table with departed
-//! resources: columns that are never alive, which a pass must ignore, until
-//! the table crosses the gate. The column-major pass on the unpadded table
-//! is the reference; `tests/dense_refactor_differential.rs` checks that one
-//! against the independent oracle.
+//! The fresh pass on the sampled table is the reference;
+//! `tests/dense_refactor_differential.rs` checks that one against the
+//! independent oracle.
 
 use aheft::core::aheft::{
     aheft_reschedule, aheft_schedule_into, AheftConfig, ReschedulableSet, ScheduleWorkspace,
-    MIRROR_MIN_CELLS,
 };
 use aheft::gridsim::executor::Snapshot;
 use aheft::gridsim::plan::Assignment;
@@ -82,25 +80,20 @@ fn fabricate_snapshot(
     snap
 }
 
-/// `costs` plus sampled columns for departed resources, enough of them that
-/// the table reaches [`MIRROR_MIN_CELLS`] and a pass reads the mirror.
-fn pad_above_gate(costs: &CostTable, gen: &CostGenerator, rng: &mut StdRng) -> CostTable {
+/// `costs` plus sampled columns for departed resources. The first join
+/// widens the row stride; the last two joins are truncated off again, so
+/// their costs stay behind in the row padding.
+fn pad(costs: &CostTable, gen: &CostGenerator, rng: &mut StdRng) -> CostTable {
     let mut padded = costs.clone();
-    let jobs = padded.job_count();
-    while jobs * padded.resource_count() < MIRROR_MIN_CELLS {
+    for _ in 0..5 {
         padded.add_resource(&gen.sample_column(rng)).unwrap();
     }
+    assert!(padded.truncate_resources(costs.resource_count() + 3));
     padded
 }
 
-/// The scan kernel a pass runs, fixed by the size of its cost table.
-#[derive(Clone, Copy, Debug)]
-enum Kernel {
-    Columns,
-    Mirror,
-}
-
-const KERNELS: [Kernel; 2] = [Kernel::Columns, Kernel::Mirror];
+/// The tables a pass reads, by index into `[sampled, padded]`.
+const TABLES: [&str; 2] = ["sampled", "padded"];
 
 fn arb_instance() -> impl Strategy<Value = (usize, usize, f64, u64)> {
     (
@@ -123,7 +116,7 @@ proptest! {
         let wf = generate(&p, &mut rng);
         let costs = wf.sample_table(resources, &mut rng);
         let snap = fabricate_snapshot(&wf.dag, &costs, resources, &mut rng);
-        let padded = pad_above_gate(&costs, &wf.costgen, &mut rng);
+        let padded = pad(&costs, &wf.costgen, &mut rng);
         // Pool subset: drop one resource on odd seeds (a departed resource).
         let alive: Vec<ResourceId> = (0..resources)
             .filter(|&r| !(seed % 2 == 1 && r == seed as usize % resources))
@@ -134,43 +127,40 @@ proptest! {
             AheftConfig { slot_policy: SlotPolicy::EndOfQueue, ..Default::default() },
             AheftConfig { reschedulable: ReschedulableSet::NotStarted, ..Default::default() },
         ];
-        let table = |kernel: Kernel| match kernel {
-            Kernel::Columns => &costs,
-            Kernel::Mirror => &padded,
-        };
+        let tables = [&costs, &padded];
         let base: Vec<_> = configs
             .iter()
             .map(|config| aheft_reschedule(&wf.dag, &costs, &snap, &alive, config))
             .collect();
 
         for threads in [1usize, 2, 4] {
-            // Every worker owns one workspace and walks the (kernel, config)
-            // grid from its own offset, so each workspace switches kernels
+            // Every worker owns one workspace and walks the (table, config)
+            // grid from its own offset, so each workspace switches tables
             // in a different order. Each cell runs twice: the second pass
-            // hits the warm rank and mirror caches.
+            // hits the warm rank cache.
             let runs = std::thread::scope(|s| {
                 let workers: Vec<_> = (0..threads)
                     .map(|w| {
                         let (dag, snap, alive, configs) = (&wf.dag, &snap, &alive, &configs);
                         s.spawn(move || {
                             let mut ws = ScheduleWorkspace::new();
-                            let cells = KERNELS.len() * configs.len();
+                            let cells = TABLES.len() * configs.len();
                             let mut out = Vec::new();
                             for k in 0..cells {
                                 let cell = (k + w) % cells;
-                                let kernel = KERNELS[cell / configs.len()];
+                                let ti = cell / configs.len();
                                 let ci = cell % configs.len();
                                 for pass in ["cold", "warm"] {
                                     let predicted = aheft_schedule_into(
                                         dag,
-                                        table(kernel),
+                                        tables[ti],
                                         snap.view(),
                                         alive,
                                         &configs[ci],
                                         &mut ws,
                                     );
                                     let got = ws.assignments().to_vec();
-                                    out.push((w, kernel, ci, pass, got, predicted));
+                                    out.push((w, ti, ci, pass, got, predicted));
                                 }
                             }
                             out
@@ -179,8 +169,9 @@ proptest! {
                     .collect();
                 workers.into_iter().map(|h| h.join().unwrap()).collect::<Vec<_>>()
             });
-            for (w, kernel, ci, pass, got, predicted) in runs.into_iter().flatten() {
-                let label = format!("{kernel:?}/threads={threads}/worker={w}/{pass}/{:?}", configs[ci]);
+            for (w, ti, ci, pass, got, predicted) in runs.into_iter().flatten() {
+                let label =
+                    format!("{}/threads={threads}/worker={w}/{pass}/{:?}", TABLES[ti], configs[ci]);
                 assert_identical(&label, base[ci].plan.assignments(), &got);
                 prop_assert_eq!(
                     base[ci].predicted_makespan.to_bits(),
