@@ -191,8 +191,6 @@ pub struct ScheduleWorkspace {
     pub(crate) whatif_base: Option<u64>,
     /// Scratch hypothetical pool (alive set) buffer.
     pub(crate) whatif_alive: Vec<ResourceId>,
-    /// Scratch hypothetical per-resource availability buffer.
-    pub(crate) whatif_avail: Vec<f64>,
 }
 
 impl ScheduleWorkspace {
@@ -262,7 +260,8 @@ pub fn aheft_schedule_into(
     let jobs = dag.job_count();
 
     // Earliest availability floor per resource: never before `clock`, and
-    // never before what the Resource Manager reported.
+    // never before a reported floor; a resource with no entry is free from
+    // `clock`.
     ws.floor.clear();
     ws.floor.resize(total_resources, f64::INFINITY);
     for &r in alive {
@@ -279,7 +278,7 @@ pub fn aheft_schedule_into(
     ws.slot_time.resize(jobs, 0.0);
     let mut pinned_max = 0.0f64;
     if config.reschedulable == ReschedulableSet::NotStarted {
-        for (i, s) in view.job_states().iter().enumerate() {
+        for (i, s) in view.state.job_states().iter().enumerate() {
             if let JobState::Running { resource, expected_finish, .. } = *s {
                 ws.slot_res[i] = resource.0;
                 ws.slot_time[i] = expected_finish;
@@ -293,9 +292,9 @@ pub fn aheft_schedule_into(
 
     // Paper Fig. 3, lines 2-3: upward ranks against the current pool, jobs
     // sorted by non-increasing rank (a topological order). The engine
-    // applies pool deltas incrementally and prunes finished jobs; when no
-    // rank changed (epoch stable) the previous sort is still exact.
-    let epoch = ws.rank_engine.update(dag, costs, alive, |j| view.is_finished(j));
+    // applies pool deltas incrementally and prunes finished jobs; with an
+    // unchanged pool (epoch stable) the previous sort is still exact.
+    let epoch = ws.rank_engine.update(dag, costs, alive, |j| view.state.is_finished(j));
     if ws.order_epoch != Some(epoch) {
         priority_order_from_ranks_into(dag, ws.rank_engine.ranks(), &mut ws.order);
         ws.order_epoch = Some(epoch);
@@ -319,7 +318,7 @@ pub fn aheft_schedule_into(
         let job = ws.order[oi];
         // Pinned jobs were pre-filled in `slot_res`; placed jobs cannot
         // recur (each job appears once in the order).
-        if view.is_finished(job) || ws.slot_res[job.idx()] != UNPLACED {
+        if view.state.is_finished(job) || ws.slot_res[job.idx()] != UNPLACED {
             continue;
         }
         let fold = fold_preds(
@@ -368,7 +367,7 @@ pub fn aheft_schedule_into(
 
     // Predicted whole-DAG makespan (Eq. 4 over every job's completion).
     let mut predicted = ws.assignments.iter().map(|a| a.finish).fold(0.0, f64::max);
-    for s in view.job_states() {
+    for s in view.state.job_states() {
         if let JobState::Finished { aft, .. } = *s {
             predicted = predicted.max(aft);
         }
@@ -389,7 +388,7 @@ fn reset_overlay(exc_val: &mut [f64], exc_touched: &mut Vec<u32>) {
 /// committed transfer?
 #[inline]
 fn excepts(view: SnapshotView<'_>, home: ResourceId, edge: EdgeId, r: ResourceId) -> bool {
-    home == r || view.transfers_of(edge).iter().any(|&(rt, _)| rt == r)
+    home == r || view.state.transfers_of(edge).iter().any(|&(rt, _)| rt == r)
 }
 
 /// Classify every predecessor's Eq. 1 case into `pred_fea` and reduce the
@@ -417,7 +416,7 @@ fn fold_preds(
     // of once per (job, resource).
     pred_fea.clear();
     for &(p, e) in dag.preds(job) {
-        pred_fea.push(if let Some((home, aft)) = view.finished_on(p) {
+        pred_fea.push(if let Some((home, aft)) = view.state.finished_on(p) {
             PredFea::Finished { home, aft, edge: e, retransmit: clock + costs.comm(e) }
         } else {
             let res = slot_res[p.idx()];
@@ -489,7 +488,7 @@ fn fold_preds(
                 }
             };
             touch(home, aft);
-            for &(rt, arrival) in view.transfers_of(edge) {
+            for &(rt, arrival) in view.state.transfers_of(edge) {
                 if rt != home {
                     touch(rt, arrival);
                 }
@@ -623,7 +622,6 @@ mod tests {
         let mut snap = Snapshot::initial(3);
         snap.clock = 15.0;
         snap.set_finished(JobId(0), ResourceId(2), 9.0);
-        snap.resource_avail = vec![15.0, 15.0, 15.0];
         let out = aheft_reschedule(&dag, &costs, &snap, &alive(3), &AheftConfig::default());
         assert_eq!(out.plan.len(), dag.job_count() - 1);
         assert!(out.plan.assignment(JobId(0)).is_none());
@@ -648,7 +646,6 @@ mod tests {
         let mut snap = Snapshot::initial(2);
         snap.clock = 50.0;
         snap.set_finished(a, ResourceId(0), 5.0);
-        snap.resource_avail = vec![50.0, 50.0];
         let out = aheft_reschedule(&dag, &costs, &snap, &alive(2), &AheftConfig::default());
         let asg = out.plan.assignment(c).unwrap();
         assert_eq!(asg.resource, ResourceId(1));
@@ -671,7 +668,6 @@ mod tests {
         snap.clock = 50.0;
         snap.set_finished(a, ResourceId(0), 5.0);
         snap.add_transfer(EdgeId(0), ResourceId(1), 52.0); // in flight
-        snap.resource_avail = vec![50.0, 50.0];
         let out = aheft_reschedule(&dag, &costs, &snap, &alive(2), &AheftConfig::default());
         let asg = out.plan.assignment(c).unwrap();
         assert_eq!(asg.resource, ResourceId(1));
@@ -692,7 +688,6 @@ mod tests {
         let mut snap = Snapshot::initial(2);
         snap.clock = 10.0;
         snap.set_running(a, ResourceId(0), 10.0, 30.0);
-        snap.resource_avail = vec![10.0, 10.0];
         let cfg = AheftConfig { reschedulable: ReschedulableSet::NotStarted, ..Default::default() };
         let out = aheft_reschedule(&dag, &costs, &snap, &alive(2), &cfg);
         // Only b is scheduled; a is pinned.
@@ -717,7 +712,6 @@ mod tests {
         let mut snap = Snapshot::initial(2);
         snap.clock = 10.0;
         snap.set_running(a, ResourceId(0), 10.0, 30.0);
-        snap.resource_avail = vec![10.0, 10.0];
         let out = aheft_reschedule(&dag, &costs, &snap, &alive(2), &AheftConfig::default());
         // Both jobs are in the new plan; a restarts at or after clock.
         assert_eq!(out.plan.len(), 2);

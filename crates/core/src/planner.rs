@@ -22,11 +22,11 @@
 //! [`AdaptivePlanner::last_candidate_outcome`] for forced replacements
 //! (resource failures), without re-running the scheduler.
 
-use aheft_gridsim::event::Event;
 use aheft_gridsim::executor::{Snapshot, SnapshotView};
 use aheft_workflow::{CostTable, Dag, ResourceId};
 
 use crate::aheft::{aheft_schedule_into, AheftConfig, RescheduleOutcome, ScheduleWorkspace};
+use crate::policy::PolicyEvent;
 use crate::schedule::all_resources;
 
 /// When the planner evaluates a reschedule.
@@ -50,18 +50,21 @@ pub enum ReschedulePolicy {
 
 impl ReschedulePolicy {
     /// Does `event` trigger an evaluation under this policy?
-    pub fn triggers(&self, event: &Event) -> bool {
+    pub fn triggers(&self, event: &PolicyEvent) -> bool {
+        let pool_change = matches!(
+            event,
+            PolicyEvent::PoolGrew { .. }
+                | PolicyEvent::ResourceLeft { .. }
+                | PolicyEvent::ResourceRejoined { .. }
+        );
         match self {
-            ReschedulePolicy::OnPoolChange => {
-                matches!(
-                    event,
-                    Event::ResourcesJoined { .. }
-                        | Event::ResourceLeft { .. }
-                        | Event::ResourceRejoined { .. }
-                )
+            ReschedulePolicy::OnPoolChange => pool_change,
+            // The events the paper's planner subscribes to (§3.3).
+            ReschedulePolicy::OnAnyPlannerEvent => {
+                pool_change
+                    || matches!(event, PolicyEvent::PerformanceVariance { .. } | PolicyEvent::Wake)
             }
-            ReschedulePolicy::OnAnyPlannerEvent => event.interests_planner(),
-            ReschedulePolicy::Periodic { .. } => matches!(event, Event::Wake),
+            ReschedulePolicy::Periodic { .. } => matches!(event, PolicyEvent::Wake),
             ReschedulePolicy::Never => false,
         }
     }
@@ -134,11 +137,6 @@ impl AdaptivePlanner {
         RescheduleOutcome { plan: self.workspace.to_plan(0.0), predicted_makespan: predicted }
     }
 
-    /// Whether `event` should trigger [`AdaptivePlanner::evaluate`].
-    pub fn should_evaluate(&self, event: &Event) -> bool {
-        self.policy.triggers(event)
-    }
-
     /// Evaluate a reschedule against the current plan (Fig. 2 lines 5–10).
     ///
     /// The `Keep` branch performs zero heap allocation: the candidate lives
@@ -206,16 +204,57 @@ mod tests {
     use super::*;
     use aheft_workflow::sample;
 
+    /// One event of each `PolicyEvent` variant.
+    fn one_event_per_variant() -> [PolicyEvent; 9] {
+        use aheft_workflow::JobId;
+        let (job, resource) = (JobId(0), ResourceId(0));
+        [
+            PolicyEvent::PoolGrew { joined: 1 },
+            PolicyEvent::ResourceLeft { resource, aborted: None },
+            PolicyEvent::ResourceRejoined { resource },
+            PolicyEvent::PerformanceVariance { job, resource },
+            PolicyEvent::Wake,
+            PolicyEvent::JobFinished { job, resource, deviation: 0.0 },
+            PolicyEvent::TransferArrived { producer: job, to: resource },
+            PolicyEvent::JobFaulted { job, resource },
+            PolicyEvent::JobReleased { job },
+        ]
+    }
+
+    #[test]
+    fn planner_interest_set() {
+        // The paper's planner subscribes to pool changes, performance
+        // variance and wake-ups (§3.3), and to nothing else.
+        let expected = [true, true, true, true, true, false, false, false, false];
+        for (ev, want) in one_event_per_variant().iter().zip(expected) {
+            assert_eq!(ReschedulePolicy::OnAnyPlannerEvent.triggers(ev), want, "{ev:?}");
+        }
+    }
+
     #[test]
     fn policy_triggers() {
-        let ev_join = Event::ResourcesJoined { count: 1 };
-        let ev_var =
-            Event::PerformanceVariance { job: aheft_workflow::JobId(0), resource: ResourceId(0) };
-        assert!(ReschedulePolicy::OnPoolChange.triggers(&ev_join));
-        assert!(!ReschedulePolicy::OnPoolChange.triggers(&ev_var));
-        assert!(ReschedulePolicy::OnAnyPlannerEvent.triggers(&ev_var));
-        assert!(!ReschedulePolicy::Never.triggers(&ev_join));
-        assert!(ReschedulePolicy::Periodic { period: 10.0 }.triggers(&Event::Wake));
+        let policies = [
+            ReschedulePolicy::OnPoolChange,
+            ReschedulePolicy::Periodic { period: 10.0 },
+            ReschedulePolicy::Never,
+        ];
+        // Which of `policies` each event of `one_event_per_variant` triggers.
+        let expected = [
+            [true, false, false],
+            [true, false, false],
+            [true, false, false],
+            [false, false, false],
+            [false, true, false],
+            [false; 3],
+            [false; 3],
+            [false; 3],
+            [false; 3],
+        ];
+        for (ev, row) in one_event_per_variant().iter().zip(expected) {
+            for (policy, want) in policies.iter().zip(row) {
+                assert_eq!(policy.triggers(ev), want, "{policy:?} on {ev:?}");
+            }
+        }
     }
 
     #[test]

@@ -33,7 +33,6 @@
 //! [`run_named_policy`]) so the experiment harness exposes a `--policy`
 //! axis without new code per strategy.
 
-use aheft_gridsim::event::Event;
 use aheft_gridsim::plan::{Assignment, Plan};
 use aheft_gridsim::reservation::SlotPolicy;
 use aheft_gridsim::trace::TraceEvent;
@@ -114,28 +113,6 @@ pub enum PolicyEvent {
     },
     /// Periodic wake-up armed via [`ExecCtx::schedule_wake_in`].
     Wake,
-}
-
-impl PolicyEvent {
-    /// The engine-level [`Event`] this policy event corresponds to (what
-    /// trigger predicates like [`ReschedulePolicy::triggers`] match on).
-    pub fn engine_event(&self) -> Event {
-        match *self {
-            PolicyEvent::JobFinished { job, .. } => Event::JobFinished { job },
-            PolicyEvent::TransferArrived { producer, to } => {
-                Event::TransferArrived { producer, to }
-            }
-            PolicyEvent::PoolGrew { joined } => Event::ResourcesJoined { count: joined as u32 },
-            PolicyEvent::ResourceLeft { resource, .. } => Event::ResourceLeft { resource },
-            PolicyEvent::ResourceRejoined { resource } => Event::ResourceRejoined { resource },
-            PolicyEvent::JobFaulted { job, .. } => Event::JobCrashed { job },
-            PolicyEvent::JobReleased { job } => Event::JobRetry { job },
-            PolicyEvent::PerformanceVariance { job, resource } => {
-                Event::PerformanceVariance { job, resource }
-            }
-            PolicyEvent::Wake => Event::Wake,
-        }
-    }
 }
 
 /// Planner-side counters a policy reports into the final
@@ -406,7 +383,7 @@ impl SchedulingPolicy for PlannedPolicy {
                 // a replan deferred on an empty pool retries here.
                 if self.pending_forced {
                     self.pending_forced = !self.evaluate_and_maybe_replace(ctx, true);
-                } else if self.planner.should_evaluate(&ev.engine_event()) {
+                } else if self.planner.policy.triggers(ev) {
                     self.evaluate_and_maybe_replace(ctx, false);
                 }
             }
@@ -451,7 +428,7 @@ impl SchedulingPolicy for PlannedPolicy {
             }
             PolicyEvent::JobReleased { .. } => { /* dispatch_ready restarts it */ }
             PolicyEvent::PerformanceVariance { .. } | PolicyEvent::Wake => {
-                if self.planner.should_evaluate(&ev.engine_event()) {
+                if self.planner.policy.triggers(ev) {
                     self.evaluate_and_maybe_replace(ctx, false);
                 }
                 if let (PolicyEvent::Wake, ReschedulePolicy::Periodic { period }) =

@@ -142,11 +142,9 @@ struct Sim<'a> {
     /// Cancellation token of each running job's pending completion event,
     /// so aborts revoke exactly that event instance in O(1).
     finish_token: Vec<Option<EventToken>>,
-    /// Reusable per-evaluation buffers: the alive pool and the per-resource
-    /// availability floor handed to the planner view. Nothing is allocated
-    /// per planner evaluation.
+    /// Reusable per-evaluation buffer of the alive pool handed to the
+    /// planner. Nothing is allocated per planner evaluation.
     alive_scratch: Vec<ResourceId>,
-    avail_scratch: Vec<f64>,
     // --- fault-tolerance state (inert when both fault models are None) ---
     /// Dedicated fault RNG stream: fault sampling never touches `rng`.
     fault_rng: StdRng,
@@ -208,7 +206,6 @@ impl<'a> Sim<'a> {
             aborted_jobs: 0,
             finish_token: vec![None; dag.job_count()],
             alive_scratch: Vec::new(),
-            avail_scratch: Vec::new(),
             fault_rng: StdRng::seed_from_u64(derive_stream(seed, FAULT_STREAM_TAG)),
             failures: cfg.failures,
             job_faults: cfg.job_faults,
@@ -290,7 +287,7 @@ impl<'a> Sim<'a> {
     /// Initiate (or skip, when redundant) the transfer of edge `e`'s data
     /// from the producer's resource to `to`.
     fn send_transfer(&mut self, producer: JobId, e: EdgeId, from: ResourceId, to: ResourceId) {
-        if from == to || self.state.transfer_exists(e, to) {
+        if from == to || self.state.transfer_to(e, to).is_some() {
             return;
         }
         let clock = self.clock();
@@ -510,7 +507,8 @@ pub struct ExecCtx<'s, 'a> {
 /// [`ExecCtx::eval_view`]: a dense zero-copy snapshot of the execution
 /// state, the alive pool, and the problem description.
 pub struct PlannerView<'v> {
-    /// Execution state at the current clock (availability floors = clock).
+    /// Execution state at the current clock; every resource is free for
+    /// new work from the clock.
     pub view: SnapshotView<'v>,
     /// Resources currently alive, in id order.
     pub alive: &'v [ResourceId],
@@ -620,20 +618,16 @@ impl<'s, 'a> ExecCtx<'s, 'a> {
     }
 
     /// Prepare the planner-evaluation inputs at the current clock: the
-    /// alive set and the per-resource availability floors are refreshed in
-    /// the fabric's reusable scratch buffers (nothing is allocated after
-    /// warm-up). Returns `None` when the pool is empty — nothing to
-    /// schedule on until it recovers.
+    /// alive set is refreshed in the fabric's reusable scratch buffer
+    /// (nothing is allocated after warm-up). Returns `None` when the pool
+    /// is empty — nothing to schedule on until it recovers.
     pub fn eval_view(&mut self) -> Option<PlannerView<'_>> {
-        let clock = self.sim.clock();
         self.sim.pool.alive_into(&mut self.sim.alive_scratch);
         if self.sim.alive_scratch.is_empty() {
             return None;
         }
-        self.sim.avail_scratch.clear();
-        self.sim.avail_scratch.resize(self.sim.pool.total(), clock);
         Some(PlannerView {
-            view: self.sim.state.view(clock, &self.sim.avail_scratch),
+            view: self.sim.state.view(self.sim.clock()),
             alive: &self.sim.alive_scratch,
             dag: self.sim.dag,
             costs: &self.sim.costs,

@@ -161,15 +161,13 @@ pub fn what_if(
         return Err(WhatIfError::EmptyPool);
     }
 
+    // The hypothetical pool, built in the cached scratch buffer.
+    let mut alive2 = std::mem::take(&mut ws.whatif_alive);
+    alive2.clear();
+    alive2.extend(alive.iter().copied().filter(|x| !remove.contains(x)));
     let hypothetical = if add.is_empty() {
-        // Pool shrink only: the base table is untouched, only the alive set
-        // changes (built in the cached scratch buffer).
-        let mut alive2 = std::mem::take(&mut ws.whatif_alive);
-        alive2.clear();
-        alive2.extend(alive.iter().copied().filter(|x| !remove.contains(x)));
-        let m = aheft_schedule_into(dag, costs, snapshot.view(), &alive2, config, ws);
-        ws.whatif_alive = alive2;
-        m
+        // Pool shrink only: the base table is untouched.
+        aheft_schedule_into(dag, costs, snapshot.view(), &alive2, config, ws)
     } else {
         // Re-sync the scratch clone only when the base table moved on; a
         // stream of queries against one scenario version pays the clone
@@ -180,29 +178,20 @@ pub fn what_if(
         }
         let mut table = ws.whatif_table.take().expect("scratch synced above");
         let base_resources = table.resource_count();
-        let mut alive2 = std::mem::take(&mut ws.whatif_alive);
-        let mut avail2 = std::mem::take(&mut ws.whatif_avail);
-        alive2.clear();
-        alive2.extend(alive.iter().copied().filter(|x| !remove.contains(x)));
-        avail2.clear();
-        avail2.extend_from_slice(&snapshot.resource_avail);
         for col in add {
-            let id = table.add_resource(col).expect("columns validated above");
-            alive2.push(id);
-            // The hypothetical resource is free from `clock`.
-            avail2.push(snapshot.clock);
+            // The pass reads the snapshot's floors by resource id: a
+            // hypothetical id past them is free from `clock`.
+            alive2.push(table.add_resource(col).expect("columns validated above"));
         }
-        let view2 = snapshot.view_with_avail(&avail2);
-        let m = aheft_schedule_into(dag, &table, view2, &alive2, config, ws);
+        let m = aheft_schedule_into(dag, &table, snapshot.view(), &alive2, config, ws);
         // Pop the appends: the scratch returns to the base state id, so a
         // rank cache warmed on the base table stays append-reachable.
         let restored = table.truncate_resources(base_resources);
         debug_assert!(restored, "appends are always on the scratch lineage");
         ws.whatif_table = Some(table);
-        ws.whatif_alive = alive2;
-        ws.whatif_avail = avail2;
         m
     };
+    ws.whatif_alive = alive2;
     Ok(hypothetical)
 }
 
@@ -376,11 +365,8 @@ mod tests {
         let mut costs2 = sample::fig4_costs_initial();
         let id = costs2.add_resource(&sample::fig4_r4_column()).unwrap();
         let alive2 = vec![ResourceId(1), ResourceId(2), id];
-        let mut avail2 = snap.resource_avail.clone();
-        avail2.push(snap.clock);
         let mut ws = ScheduleWorkspace::new();
-        let view = snap.view_with_avail(&avail2);
-        let manual = aheft_schedule_into(&dag, &costs2, view, &alive2, &cfg, &mut ws);
+        let manual = aheft_schedule_into(&dag, &costs2, snap.view(), &alive2, &cfg, &mut ws);
         assert_eq!(hypothetical.to_bits(), manual.to_bits());
     }
 

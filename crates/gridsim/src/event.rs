@@ -67,36 +67,3 @@ pub enum Event {
     /// Generic wake-up used by periodic rescheduling policies.
     Wake,
 }
-
-impl Event {
-    /// True for the events the paper's adaptive planner subscribes to.
-    pub fn interests_planner(&self) -> bool {
-        matches!(
-            self,
-            Event::ResourcesJoined { .. }
-                | Event::ResourceLeft { .. }
-                | Event::ResourceRejoined { .. }
-                | Event::PerformanceVariance { .. }
-                | Event::Wake
-        )
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn planner_interest_set() {
-        assert!(Event::ResourcesJoined { count: 1 }.interests_planner());
-        assert!(Event::ResourceLeft { resource: ResourceId(0) }.interests_planner());
-        assert!(Event::ResourceRejoined { resource: ResourceId(0) }.interests_planner());
-        assert!(!Event::JobFinished { job: JobId(0) }.interests_planner());
-        assert!(!Event::JobCrashed { job: JobId(0) }.interests_planner());
-        assert!(!Event::JobRetry { job: JobId(0) }.interests_planner());
-        assert!(!Event::StragglerCheck { job: JobId(0) }.interests_planner());
-        assert!(
-            !Event::TransferArrived { producer: JobId(0), to: ResourceId(0) }.interests_planner()
-        );
-    }
-}

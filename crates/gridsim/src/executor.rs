@@ -12,11 +12,12 @@
 //!
 //! All of it is **dense, index-addressed state**: job lifecycle in a
 //! `Vec<JobState>` indexed by [`JobId`], the transfer ledger in per-edge
-//! destination lists indexed by [`aheft_workflow::EdgeId`]. The planner
-//! reads it through [`SnapshotView`], a borrowed zero-copy view taken at a
-//! rescheduling instant (`clock` in the paper's notation) — no hash maps,
-//! no cloned ledgers, nothing allocated per planner evaluation. [`Snapshot`]
-//! is the owned counterpart for tests, what-if queries and benches that
+//! destination lists indexed by [`aheft_workflow::EdgeId`]. `ExecState` is
+//! the only store of that state. The planner reads it through
+//! [`SnapshotView`], which borrows an `ExecState` at a rescheduling instant
+//! (`clock` in the paper's notation) — no hash maps, no cloned ledgers,
+//! nothing allocated per planner evaluation. [`Snapshot`] owns an
+//! `ExecState` at a clock, for tests, what-if queries and benches that
 //! fabricate mid-run states from scratch.
 
 use aheft_workflow::{Dag, EdgeId, JobId, ResourceId};
@@ -53,46 +54,10 @@ pub enum JobState {
 /// beats a hash table on both lookup cost and memory.
 type EdgeTransfers = Vec<(ResourceId, f64)>;
 
-fn transfer_to(transfers: &[EdgeTransfers], e: EdgeId, resource: ResourceId) -> Option<f64> {
-    transfers.get(e.idx())?.iter().find(|&&(r, _)| r == resource).map(|&(_, t)| t)
-}
-
-/// The ledger insert behind [`ExecState::record_transfer`] and
-/// [`Snapshot::add_transfer`].
-fn insert_transfer(
-    transfers: &mut Vec<EdgeTransfers>,
-    e: EdgeId,
-    resource: ResourceId,
-    arrival: f64,
-) {
-    if e.idx() >= transfers.len() {
-        transfers.resize_with(e.idx() + 1, Vec::new);
-    }
-    let dests = &mut transfers[e.idx()];
-    match dests.iter_mut().find(|(r, _)| *r == resource) {
-        Some((_, t)) => *t = t.min(arrival),
-        None => dests.push((resource, arrival)),
-    }
-}
-
-/// [`ExecState::edge_data_available`] and
-/// [`SnapshotView::edge_data_available`], given the producer's state.
-fn data_available(
-    producer: JobState,
-    transfers: &[EdgeTransfers],
-    e: EdgeId,
-    resource: ResourceId,
-) -> Option<f64> {
-    if let JobState::Finished { resource: home, aft, .. } = producer {
-        if home == resource {
-            return Some(aft);
-        }
-    }
-    transfer_to(transfers, e, resource)
-}
-
-/// Mutable execution state of one workflow run.
-#[derive(Debug, Clone)]
+/// Execution state of one workflow run: job lifecycle and the transfer
+/// ledger. Jobs beyond the job vector read as `Waiting`, so a fabricated
+/// state grows on demand.
+#[derive(Debug, Clone, Default)]
 pub struct ExecState {
     states: Vec<JobState>,
     /// `transfers[e]` — committed/in-flight arrivals of edge `e`'s data,
@@ -118,33 +83,40 @@ impl ExecState {
         }
     }
 
-    /// Current state of `job`.
+    /// Current state of `job` (`Waiting` when never recorded).
     #[inline]
     pub fn state(&self, job: JobId) -> JobState {
-        self.states[job.idx()]
+        self.states.get(job.idx()).copied().unwrap_or(JobState::Waiting)
+    }
+
+    /// Dense job-state slice; jobs at or beyond its length are `Waiting`.
+    #[inline]
+    pub fn job_states(&self) -> &[JobState] {
+        &self.states
     }
 
     /// True if `job` has finished.
     #[inline]
     pub fn is_finished(&self, job: JobId) -> bool {
-        matches!(self.states[job.idx()], JobState::Finished { .. })
+        matches!(self.state(job), JobState::Finished { .. })
     }
 
     /// True if `job` is waiting (not started or aborted).
     #[inline]
     pub fn is_waiting(&self, job: JobId) -> bool {
-        matches!(self.states[job.idx()], JobState::Waiting)
+        matches!(self.state(job), JobState::Waiting)
     }
 
     /// True if `job` is currently running.
     #[inline]
     pub fn is_running(&self, job: JobId) -> bool {
-        matches!(self.states[job.idx()], JobState::Running { .. })
+        matches!(self.state(job), JobState::Running { .. })
     }
 
     /// Resource and actual finish time of a finished job.
+    #[inline]
     pub fn finished_on(&self, job: JobId) -> Option<(ResourceId, f64)> {
-        match self.states[job.idx()] {
+        match self.state(job) {
             JobState::Finished { resource, aft, .. } => Some((resource, aft)),
             _ => None,
         }
@@ -173,14 +145,27 @@ impl ExecState {
             .fold(0.0, f64::max)
     }
 
+    /// Set `job`'s state, growing the job vector on demand and keeping
+    /// [`ExecState::finished_count`] exact.
+    fn put(&mut self, job: JobId, state: JobState) {
+        if job.idx() >= self.states.len() {
+            self.states.resize(job.idx() + 1, JobState::Waiting);
+        }
+        let slot = &mut self.states[job.idx()];
+        let was = matches!(*slot, JobState::Finished { .. });
+        let now = matches!(state, JobState::Finished { .. });
+        *slot = state;
+        self.finished = self.finished + usize::from(now) - usize::from(was);
+    }
+
     /// Mark `job` started on `resource` at `now` with `duration`.
     ///
     /// # Panics
     /// Panics if the job is not `Waiting`.
     pub fn start(&mut self, job: JobId, resource: ResourceId, now: f64, duration: f64) -> f64 {
-        assert!(self.is_waiting(job), "{job} started while in state {:?}", self.states[job.idx()]);
+        assert!(self.is_waiting(job), "{job} started while in state {:?}", self.state(job));
         let expected_finish = now + duration;
-        self.states[job.idx()] = JobState::Running { resource, ast: now, expected_finish };
+        self.put(job, JobState::Running { resource, ast: now, expected_finish });
         expected_finish
     }
 
@@ -190,11 +175,10 @@ impl ExecState {
     /// # Panics
     /// Panics if the job is not `Running`.
     pub fn finish(&mut self, job: JobId, now: f64) -> ResourceId {
-        let JobState::Running { resource, ast, .. } = self.states[job.idx()] else {
-            panic!("{job} finished while in state {:?}", self.states[job.idx()]);
+        let JobState::Running { resource, ast, .. } = self.state(job) else {
+            panic!("{job} finished while in state {:?}", self.state(job));
         };
-        self.states[job.idx()] = JobState::Finished { resource, ast, aft: now };
-        self.finished += 1;
+        self.put(job, JobState::Finished { resource, ast, aft: now });
         resource
     }
 
@@ -202,25 +186,61 @@ impl ExecState {
     /// is lost, the job returns to `Waiting`. Returns the resource it was
     /// running on, or `None` if it was not running.
     pub fn abort(&mut self, job: JobId) -> Option<ResourceId> {
-        if let JobState::Running { resource, .. } = self.states[job.idx()] {
-            self.states[job.idx()] = JobState::Waiting;
+        if let JobState::Running { resource, .. } = self.state(job) {
+            self.put(job, JobState::Waiting);
             Some(resource)
         } else {
             None
         }
     }
 
+    /// Mark `job` finished on `resource` at `aft`, whatever its state
+    /// (fabricating a mid-run state for tests, what-if queries and benches).
+    pub fn set_finished(&mut self, job: JobId, resource: ResourceId, aft: f64) {
+        self.put(job, JobState::Finished { resource, ast: aft, aft });
+    }
+
+    /// Mark `job` running on `resource` since `ast`, expected to finish at
+    /// `expected_finish`, whatever its state (fabrication, as
+    /// [`ExecState::set_finished`]).
+    pub fn set_running(
+        &mut self,
+        job: JobId,
+        resource: ResourceId,
+        ast: f64,
+        expected_finish: f64,
+    ) {
+        self.put(job, JobState::Running { resource, ast, expected_finish });
+    }
+
     /// Record that edge `e`'s data will be available on `resource` at
     /// `arrival`. An earlier existing entry wins (a duplicate transfer
     /// cannot make the data *later*).
     pub fn record_transfer(&mut self, e: EdgeId, resource: ResourceId, arrival: f64) {
-        insert_transfer(&mut self.transfers, e, resource, arrival);
+        if e.idx() >= self.transfers.len() {
+            self.transfers.resize_with(e.idx() + 1, Vec::new);
+        }
+        let dests = &mut self.transfers[e.idx()];
+        match dests.iter_mut().find(|(r, _)| *r == resource) {
+            Some((_, t)) => *t = t.min(arrival),
+            None => dests.push((resource, arrival)),
+        }
     }
 
-    /// True if a transfer of edge `e` towards `resource` is committed
-    /// (completed or in flight).
-    pub fn transfer_exists(&self, e: EdgeId, resource: ResourceId) -> bool {
-        transfer_to(&self.transfers, e, resource).is_some()
+    /// Committed arrival of edge `e`'s data on `resource` (completed or in
+    /// flight), if any.
+    #[inline]
+    pub fn transfer_to(&self, e: EdgeId, resource: ResourceId) -> Option<f64> {
+        self.transfers_of(e).iter().find(|&&(r, _)| r == resource).map(|&(_, t)| t)
+    }
+
+    /// All committed `(destination, arrival)` transfers of edge `e`, at
+    /// most one entry per destination ([`ExecState::record_transfer`]
+    /// dedupes). Lets the scheduler walk an edge's ledger once instead of
+    /// probing [`ExecState::transfer_to`] per resource.
+    #[inline]
+    pub fn transfers_of(&self, e: EdgeId) -> &[(ResourceId, f64)] {
+        self.transfers.get(e.idx()).map_or(&[], |v| v.as_slice())
     }
 
     /// Earliest availability on `resource` of the data carried by edge `e`
@@ -233,7 +253,10 @@ impl ExecState {
         e: EdgeId,
         resource: ResourceId,
     ) -> Option<f64> {
-        data_available(self.states[producer.idx()], &self.transfers, e, resource)
+        match self.finished_on(producer) {
+            Some((home, aft)) if home == resource => Some(aft),
+            _ => self.transfer_to(e, resource),
+        }
     }
 
     /// True if every predecessor of `job` has finished and its edge data is
@@ -247,60 +270,43 @@ impl ExecState {
 
     /// Borrow the state as a planner view at rescheduling instant `clock` —
     /// the zero-copy, zero-allocation path the adaptive planner evaluates
-    /// on. `resource_avail[j]` must give the earliest time resource `j` is
-    /// free for new work (≥ clock).
-    pub fn view<'a>(&'a self, clock: f64, resource_avail: &'a [f64]) -> SnapshotView<'a> {
-        SnapshotView { clock, states: &self.states, transfers: &self.transfers, resource_avail }
+    /// on. It reports no availability floors: every resource is free for
+    /// new work from `clock`.
+    pub fn view(&self, clock: f64) -> SnapshotView<'_> {
+        SnapshotView { clock, state: self, resource_avail: &[] }
     }
 }
 
-/// Owned execution state at a rescheduling instant — the owned counterpart
-/// of [`SnapshotView`] for call sites that fabricate mid-run states (tests,
-/// what-if queries, benches).
+/// An owned [`ExecState`] at a rescheduling instant, for call sites that
+/// fabricate mid-run states (tests, what-if queries, benches).
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
     /// The rescheduling instant (`clock`).
     pub clock: f64,
-    /// Job lifecycle, indexed by job; jobs beyond the vector are `Waiting`.
-    states: Vec<JobState>,
-    /// Per-edge committed transfers, indexed by edge.
-    transfers: Vec<EdgeTransfers>,
-    /// Earliest availability of each resource (indexed by resource id).
+    /// Job lifecycle and transfer ledger.
+    pub state: ExecState,
+    /// Reported earliest availability of each resource, indexed by
+    /// resource id. The pass starts no job on resource `r` before
+    /// `max(resource_avail[r], clock)`; a resource with no entry is free
+    /// from `clock`.
     pub resource_avail: Vec<f64>,
 }
 
 impl Snapshot {
-    /// The initial-scheduling snapshot: clock 0, nothing executed,
-    /// `resources` all free at 0.
-    pub fn initial(resources: usize) -> Self {
-        Self {
-            clock: 0.0,
-            states: Vec::new(),
-            transfers: Vec::new(),
-            resource_avail: vec![0.0; resources],
-        }
-    }
-
-    /// Number of resources visible to the planner.
-    pub fn resource_count(&self) -> usize {
-        self.resource_avail.len()
-    }
-
-    /// Current state of `job` (`Waiting` when never recorded).
-    #[inline]
-    pub fn state(&self, job: JobId) -> JobState {
-        self.states.get(job.idx()).copied().unwrap_or(JobState::Waiting)
+    /// The initial-scheduling snapshot: clock 0, nothing executed, every
+    /// resource free from the clock. `_resources` is not read.
+    pub fn initial(_resources: usize) -> Self {
+        Self::default()
     }
 
     /// True if `job` already finished.
     pub fn is_finished(&self, job: JobId) -> bool {
-        matches!(self.state(job), JobState::Finished { .. })
+        self.state.is_finished(job)
     }
 
     /// Mark `job` finished on `resource` at `aft` (test/bench fabrication).
     pub fn set_finished(&mut self, job: JobId, resource: ResourceId, aft: f64) {
-        self.ensure_job(job);
-        self.states[job.idx()] = JobState::Finished { resource, ast: aft, aft };
+        self.state.set_finished(job, resource, aft);
     }
 
     /// Mark `job` running on `resource` since `ast`, expected to finish at
@@ -312,131 +318,34 @@ impl Snapshot {
         ast: f64,
         expected_finish: f64,
     ) {
-        self.ensure_job(job);
-        self.states[job.idx()] = JobState::Running { resource, ast, expected_finish };
+        self.state.set_running(job, resource, ast, expected_finish);
     }
 
     /// Record a committed transfer of edge `e`'s data towards `resource`,
     /// arriving at `arrival`. An earlier existing entry wins, as in
     /// [`ExecState::record_transfer`].
     pub fn add_transfer(&mut self, e: EdgeId, resource: ResourceId, arrival: f64) {
-        insert_transfer(&mut self.transfers, e, resource, arrival);
-    }
-
-    /// Earliest availability of edge `e`'s data (produced by `producer`) on
-    /// `resource`: see [`ExecState::edge_data_available`].
-    pub fn edge_data_available(
-        &self,
-        producer: JobId,
-        e: EdgeId,
-        resource: ResourceId,
-    ) -> Option<f64> {
-        self.view().edge_data_available(producer, e, resource)
+        self.state.record_transfer(e, resource, arrival);
     }
 
     /// Borrow this snapshot as a planner view.
     pub fn view(&self) -> SnapshotView<'_> {
-        SnapshotView {
-            clock: self.clock,
-            states: &self.states,
-            transfers: &self.transfers,
-            resource_avail: &self.resource_avail,
-        }
-    }
-
-    /// As [`Snapshot::view`] but with the per-resource availability floors
-    /// overridden (what-if queries hypothesise extra resources).
-    pub fn view_with_avail<'a>(&'a self, resource_avail: &'a [f64]) -> SnapshotView<'a> {
-        SnapshotView {
-            clock: self.clock,
-            states: &self.states,
-            transfers: &self.transfers,
-            resource_avail,
-        }
-    }
-
-    fn ensure_job(&mut self, job: JobId) {
-        if job.idx() >= self.states.len() {
-            self.states.resize(job.idx() + 1, JobState::Waiting);
-        }
+        SnapshotView { clock: self.clock, state: &self.state, resource_avail: &self.resource_avail }
     }
 }
 
-/// Borrowed, dense planner view of the execution state at a rescheduling
-/// instant — everything the AHEFT equations (paper Eqs. 1–3) read, with no
-/// per-evaluation copying: job state is a slice indexed by [`JobId`], the
-/// transfer ledger a slice of per-edge destination lists indexed by
-/// [`EdgeId`].
+/// Borrowed planner view of the execution state at a rescheduling instant
+/// — everything the AHEFT equations (paper Eqs. 1–3) read, with no
+/// per-evaluation copying.
 #[derive(Debug, Clone, Copy)]
 pub struct SnapshotView<'a> {
     /// The rescheduling instant (`clock`).
     pub clock: f64,
-    states: &'a [JobState],
-    transfers: &'a [EdgeTransfers],
-    /// Earliest availability of each resource (indexed by resource id).
+    /// Job lifecycle and transfer ledger.
+    pub state: &'a ExecState,
+    /// Reported earliest availability of each resource (see
+    /// [`Snapshot::resource_avail`]).
     pub resource_avail: &'a [f64],
-}
-
-impl<'a> SnapshotView<'a> {
-    /// Number of resources visible to the planner.
-    pub fn resource_count(&self) -> usize {
-        self.resource_avail.len()
-    }
-
-    /// Current state of `job` (`Waiting` when never recorded).
-    #[inline]
-    pub fn state(&self, job: JobId) -> JobState {
-        self.states.get(job.idx()).copied().unwrap_or(JobState::Waiting)
-    }
-
-    /// Dense job-state slice; jobs at or beyond its length are `Waiting`.
-    #[inline]
-    pub fn job_states(&self) -> &'a [JobState] {
-        self.states
-    }
-
-    /// True if `job` already finished.
-    #[inline]
-    pub fn is_finished(&self, job: JobId) -> bool {
-        matches!(self.state(job), JobState::Finished { .. })
-    }
-
-    /// Resource and actual finish time of a finished job.
-    #[inline]
-    pub fn finished_on(&self, job: JobId) -> Option<(ResourceId, f64)> {
-        match self.state(job) {
-            JobState::Finished { resource, aft, .. } => Some((resource, aft)),
-            _ => None,
-        }
-    }
-
-    /// Committed arrival of edge `e`'s data on `resource`, if any.
-    #[inline]
-    pub fn transfer_to(&self, e: EdgeId, resource: ResourceId) -> Option<f64> {
-        transfer_to(self.transfers, e, resource)
-    }
-
-    /// All committed `(destination, arrival)` transfers of edge `e`, at
-    /// most one entry per destination ([`ExecState::record_transfer`] and
-    /// [`Snapshot::add_transfer`] both dedupe). Lets the scheduler walk an
-    /// edge's ledger once instead of probing [`SnapshotView::transfer_to`]
-    /// per resource.
-    #[inline]
-    pub fn transfers_of(&self, e: EdgeId) -> &'a [(ResourceId, f64)] {
-        self.transfers.get(e.idx()).map_or(&[], |v| v.as_slice())
-    }
-
-    /// Earliest availability of edge `e`'s data (produced by `producer`) on
-    /// `resource`: the producer's own `AFT` when it finished there, else the
-    /// committed transfer arrival (possibly in the future), else `None`.
-    pub fn edge_data_available(
-        &self,
-        producer: JobId,
-        e: EdgeId,
-        resource: ResourceId,
-    ) -> Option<f64> {
-        data_available(self.state(producer), self.transfers, e, resource)
-    }
 }
 
 #[cfg(test)]
@@ -492,18 +401,18 @@ mod tests {
         s.record_transfer(EdgeId(0), ResourceId(2), 20.0);
         s.record_transfer(EdgeId(0), ResourceId(2), 15.0);
         s.record_transfer(EdgeId(0), ResourceId(2), 30.0);
-        assert_eq!(transfer_to(&s.transfers, EdgeId(0), ResourceId(2)), Some(15.0));
-        assert!(s.transfer_exists(EdgeId(0), ResourceId(2)));
-        assert!(!s.transfer_exists(EdgeId(0), ResourceId(3)));
-        assert!(!s.transfer_exists(EdgeId(9), ResourceId(2)));
+        assert_eq!(s.transfer_to(EdgeId(0), ResourceId(2)), Some(15.0));
+        assert_eq!(s.transfers_of(EdgeId(0)), &[(ResourceId(2), 15.0)]);
+        assert_eq!(s.transfer_to(EdgeId(0), ResourceId(3)), None);
+        assert_eq!(s.transfer_to(EdgeId(9), ResourceId(2)), None);
     }
 
     #[test]
     fn with_edges_presizes_ledger() {
         let mut s = ExecState::with_edges(2, 3);
         s.record_transfer(EdgeId(2), ResourceId(0), 5.0);
-        assert!(s.transfer_exists(EdgeId(2), ResourceId(0)));
-        assert!(!s.transfer_exists(EdgeId(1), ResourceId(0)));
+        assert_eq!(s.transfer_to(EdgeId(2), ResourceId(0)), Some(5.0));
+        assert_eq!(s.transfer_to(EdgeId(1), ResourceId(0)), None);
     }
 
     #[test]
@@ -535,44 +444,70 @@ mod tests {
         s.start(JobId(0), ResourceId(0), 0.0, 5.0);
         s.finish(JobId(0), 5.0);
         s.start(JobId(1), ResourceId(1), 5.0, 10.0);
-        let avail = vec![8.0, 15.0];
-        let view = s.view(8.0, &avail);
+        let view = s.view(8.0);
         assert_eq!(view.clock, 8.0);
-        assert_eq!(view.finished_on(JobId(0)), Some((ResourceId(0), 5.0)));
+        assert!(view.resource_avail.is_empty(), "the live view reports no floors");
+        assert_eq!(view.state.finished_on(JobId(0)), Some((ResourceId(0), 5.0)));
         assert!(matches!(
-            view.state(JobId(1)),
+            view.state.state(JobId(1)),
             JobState::Running { resource: ResourceId(1), ast, expected_finish }
                 if ast == 5.0 && expected_finish == 15.0
         ));
-        assert!(!view.is_finished(JobId(2)));
-        assert!(view.is_finished(JobId(0)));
-        assert_eq!(view.resource_count(), 2);
+        assert!(!view.state.is_finished(JobId(2)));
+        assert!(view.state.is_finished(JobId(0)));
         // Edge data availability flows through the view.
-        assert_eq!(view.edge_data_available(JobId(0), EdgeId(0), ResourceId(0)), Some(5.0));
-        assert_eq!(view.edge_data_available(JobId(0), EdgeId(0), ResourceId(1)), None);
+        assert_eq!(view.state.edge_data_available(JobId(0), EdgeId(0), ResourceId(0)), Some(5.0));
+        assert_eq!(view.state.edge_data_available(JobId(0), EdgeId(0), ResourceId(1)), None);
     }
 
     #[test]
     fn owned_snapshot_matches_view_semantics() {
+        // The lifecycle writers (start/finish) and the fabrication writers
+        // (set_finished) of the one store read back alike.
         let mut s = ExecState::new(3);
         s.start(JobId(0), ResourceId(0), 0.0, 5.0);
         s.finish(JobId(0), 5.0);
         s.record_transfer(EdgeId(0), ResourceId(1), 9.0);
-        let avail = vec![8.0, 15.0];
-        let live = s.view(8.0, &avail);
+        let live = s.view(8.0);
         let mut snap = Snapshot::initial(2);
         snap.clock = 8.0;
-        snap.resource_avail = avail.clone();
         snap.set_finished(JobId(0), ResourceId(0), 5.0);
         snap.add_transfer(EdgeId(0), ResourceId(1), 9.0);
-        assert_eq!(snap.view().clock, live.clock);
+        let owned = snap.view();
+        assert_eq!(owned.clock, live.clock);
         assert!(snap.is_finished(JobId(0)));
         for r in [ResourceId(0), ResourceId(1)] {
-            let owned = snap.edge_data_available(JobId(0), EdgeId(0), r);
-            assert_eq!(owned, live.edge_data_available(JobId(0), EdgeId(0), r));
+            assert_eq!(
+                owned.state.edge_data_available(JobId(0), EdgeId(0), r),
+                live.state.edge_data_available(JobId(0), EdgeId(0), r)
+            );
         }
-        assert_eq!(snap.view().finished_on(JobId(0)), live.finished_on(JobId(0)));
-        assert_eq!(snap.view().transfers_of(EdgeId(0)), live.transfers_of(EdgeId(0)));
+        assert_eq!(owned.state.finished_on(JobId(0)), live.state.finished_on(JobId(0)));
+        assert_eq!(owned.state.transfers_of(EdgeId(0)), live.state.transfers_of(EdgeId(0)));
+        assert_eq!(owned.state.finished_count(), live.state.finished_count());
+    }
+
+    #[test]
+    fn fabrication_keeps_finished_count_exact() {
+        let mut s = ExecState::default();
+        s.set_finished(JobId(3), ResourceId(0), 10.0);
+        s.set_finished(JobId(1), ResourceId(1), 12.0);
+        assert_eq!(s.finished_count(), 2);
+        // Re-finishing a finished job does not count it twice.
+        s.set_finished(JobId(3), ResourceId(1), 11.0);
+        assert_eq!(s.finished_count(), 2);
+        assert_eq!(s.finished_on(JobId(3)), Some((ResourceId(1), 11.0)));
+        // Running again un-finishes it; running a waiting job counts nothing.
+        s.set_running(JobId(3), ResourceId(0), 12.0, 20.0);
+        s.set_running(JobId(7), ResourceId(0), 12.0, 20.0);
+        assert_eq!(s.finished_count(), 1);
+        // The lifecycle writers agree with the fabricated states.
+        s.finish(JobId(3), 20.0);
+        assert_eq!(s.finished_count(), 2);
+        assert_eq!(s.abort(JobId(7)), Some(ResourceId(0)));
+        assert_eq!(s.finished_count(), 2);
+        let counted = s.job_states().iter().filter(|st| matches!(st, JobState::Finished { .. }));
+        assert_eq!(counted.count(), s.finished_count());
     }
 
     #[test]
@@ -585,14 +520,14 @@ mod tests {
         assert!(snap.is_finished(JobId(4)));
         assert!(!snap.is_finished(JobId(0)));
         assert!(!snap.is_finished(JobId(9)));
-        assert_eq!(snap.view().transfer_to(EdgeId(3), ResourceId(0)), Some(33.0));
-        assert_eq!(snap.view().transfer_to(EdgeId(0), ResourceId(0)), None);
-        assert!(matches!(snap.state(JobId(2)), JobState::Running { .. }));
+        assert_eq!(snap.state.transfer_to(EdgeId(3), ResourceId(0)), Some(33.0));
+        assert_eq!(snap.state.transfer_to(EdgeId(0), ResourceId(0)), None);
+        assert!(matches!(snap.state.state(JobId(2)), JobState::Running { .. }));
         // Duplicate recordings keep the earliest arrival (ExecState parity).
         snap.add_transfer(EdgeId(3), ResourceId(0), 40.0);
-        assert_eq!(snap.view().transfer_to(EdgeId(3), ResourceId(0)), Some(33.0));
+        assert_eq!(snap.state.transfer_to(EdgeId(3), ResourceId(0)), Some(33.0));
         snap.add_transfer(EdgeId(3), ResourceId(0), 20.0);
-        assert_eq!(snap.view().transfer_to(EdgeId(3), ResourceId(0)), Some(20.0));
+        assert_eq!(snap.state.transfer_to(EdgeId(3), ResourceId(0)), Some(20.0));
     }
 
     #[test]
@@ -600,7 +535,8 @@ mod tests {
         let snap = Snapshot::initial(4);
         assert_eq!(snap.clock, 0.0);
         assert!(!snap.is_finished(JobId(0)));
-        assert_eq!(snap.resource_avail, vec![0.0; 4]);
-        assert_eq!(snap.resource_count(), 4);
+        assert_eq!(snap.state.finished_count(), 0);
+        // No floors: every resource is free from the clock.
+        assert!(snap.resource_avail.is_empty());
     }
 }

@@ -26,7 +26,9 @@ pub struct Scenario {
     pub dag: Arc<Dag>,
     /// Estimated cost table; cloned copy-on-write when a resource joins.
     pub costs: Arc<CostTable>,
-    /// Execution state; cloned copy-on-write by job/clock deltas.
+    /// Execution state; cloned copy-on-write by job/clock deltas. It
+    /// reports no availability floors: every resource, joined ones too, is
+    /// free for new work from the clock.
     pub snapshot: Arc<Snapshot>,
     /// The alive pool; cloned copy-on-write when membership changes.
     pub alive: Arc<Vec<ResourceId>>,
@@ -63,7 +65,6 @@ impl ScenarioParams {
         let costs = wf.sample_table(self.resources, &mut rng);
         let mut snap = Snapshot::initial(self.resources);
         snap.clock = 500.0;
-        snap.resource_avail = vec![500.0; self.resources];
         let done = ((self.jobs as f64) * self.finished.clamp(0.0, 1.0)) as usize;
         let order = wf.dag.topo_order().to_vec();
         for (k, &j) in order.iter().take(done).enumerate() {
@@ -194,19 +195,14 @@ impl Scenario {
                     snap.add_transfer(e, *resource, *time);
                 }
                 snap.clock = snap.clock.max(*time);
-                let idx = resource.idx();
-                snap.resource_avail[idx] = snap.resource_avail[idx].max(*time);
                 next.snapshot = Arc::new(snap);
             }
             Delta::ResourceJoined { column } => {
                 let mut costs = (*self.costs).clone();
                 let id = costs.add_resource(column).map_err(DeltaError::BadColumn)?;
-                let mut snap = (*self.snapshot).clone();
-                snap.resource_avail.push(snap.clock);
                 let mut alive = (*self.alive).clone();
                 alive.push(id);
                 next.costs = Arc::new(costs);
-                next.snapshot = Arc::new(snap);
                 next.alive = Arc::new(alive);
             }
             Delta::ResourceLeft { resource } => {
@@ -300,9 +296,33 @@ mod tests {
         assert_eq!(now.alive.len(), 5);
         // The DAG is shared, not copied.
         assert!(Arc::ptr_eq(&v0.dag, &now.dag));
-        // The snapshot diverged (new avail entry).
-        assert_eq!(now.snapshot.resource_count(), 5);
-        assert_eq!(v0.snapshot.resource_count(), 4);
+    }
+
+    #[test]
+    fn each_delta_clones_only_what_it_changes() {
+        let v0 = tiny();
+        let (ready, _) = ready_and_blocked(&v0);
+        let shares = |a: &Scenario, b: &Scenario| {
+            [
+                Arc::ptr_eq(&a.dag, &b.dag),
+                Arc::ptr_eq(&a.costs, &b.costs),
+                Arc::ptr_eq(&a.snapshot, &b.snapshot),
+                Arc::ptr_eq(&a.alive, &b.alive),
+            ]
+        };
+        // [dag, costs, snapshot, alive]: a join shares the snapshot, since
+        // the joined resource is free from the clock like every other.
+        let column = vec![10.0; v0.dag.job_count()];
+        let joined = v0.apply(&Delta::ResourceJoined { column }).unwrap();
+        assert_eq!(shares(&v0, &joined), [true, false, true, false]);
+        let finish = Delta::JobFinished { job: ready, resource: ResourceId(1), time: 600.0 };
+        let finished = joined.apply(&finish).unwrap();
+        assert_eq!(shares(&joined, &finished), [true, true, false, true]);
+        let left = finished.apply(&Delta::ResourceLeft { resource: ResourceId(0) }).unwrap();
+        assert_eq!(shares(&finished, &left), [true, true, true, false]);
+        let later = left.apply(&Delta::AdvanceClock { clock: 700.0 }).unwrap();
+        assert_eq!(shares(&left, &later), [true, true, false, true]);
+        assert_eq!(later.version, 4);
     }
 
     #[test]
@@ -344,7 +364,11 @@ mod tests {
             scen.apply(&Delta::JobFinished { job, resource: ResourceId(1), time: 600.0 }).unwrap();
         assert!(next.snapshot.is_finished(job));
         assert_eq!(next.snapshot.clock, 600.0);
-        assert_eq!(next.snapshot.resource_avail[1], 600.0);
+        for &(_, e) in scen.dag.succs(job) {
+            assert_eq!(next.snapshot.state.transfer_to(e, ResourceId(1)), Some(600.0));
+        }
+        // No floor is reported: the resource is free from the clock.
+        assert!(next.snapshot.resource_avail.is_empty());
         assert_eq!(next.version, 1);
     }
 

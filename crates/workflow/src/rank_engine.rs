@@ -27,11 +27,10 @@
 //!   never consulted by the scheduling pass (it skips finished jobs, and
 //!   no unfinished job's rank depends on a finished job's rank — see the
 //!   contract below), so the engine stops refreshing them.
-//! * **Dirty-bit propagation** inside the sweep: a job's rank is
-//!   recomputed only when its own average changed bit-for-bit or a
-//!   successor's rank changed; otherwise the whole subgraph above an
-//!   unchanged frontier is skipped (e.g. a joining twin resource whose
-//!   column leaves the averages on identical bits touches nothing).
+//!
+//! Every append or rebuild recomputes every unfinished job's rank in one
+//! reverse-topological sweep and bumps the epoch: a join changes the alive
+//! count, so every average changes anyway.
 //!
 //! ## Contract
 //!
@@ -65,16 +64,11 @@ pub struct RankEngine {
     /// `alive` order (the [`crate::rank::rank_upward_over_into`] summation
     /// order).
     comp_sum: Vec<f64>,
-    /// Per-job average (`comp_sum / alive.len()`) as of the last sweep;
-    /// compared bit-for-bit to decide whether a job is dirty.
-    avg: Vec<f64>,
     /// Cached `rank_u` per job. Entries of pruned (finished) jobs are
     /// stale but finite.
     ranks: Vec<f64>,
-    /// Sweep scratch: set on a job when some successor's rank changed.
-    dirty: Vec<bool>,
-    /// Bumped whenever any cached rank value changes; callers use it to
-    /// skip work derived from the ranks (e.g. the priority sort).
+    /// Bumped by every sweep; callers use it to skip work derived from the
+    /// ranks (e.g. the priority sort) while it stands still.
     epoch: u64,
 }
 
@@ -91,9 +85,9 @@ impl RankEngine {
         &self.ranks
     }
 
-    /// Monotone counter bumped exactly when some rank value changed.
-    /// Unchanged epoch across two [`RankEngine::update`] calls means the
-    /// whole `ranks` slice is bit-identical to before.
+    /// Monotone counter bumped by every sweep. Unchanged epoch across two
+    /// [`RankEngine::update`] calls means the whole `ranks` slice is
+    /// bit-identical to before.
     #[inline]
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -144,45 +138,26 @@ impl RankEngine {
             // fold is bit-identical to re-summing the extended alive set.
             costs.fold_columns_into(appended, &mut self.comp_sum);
             self.alive.extend_from_slice(appended);
-            self.key = Some(key);
-            self.sweep(dag, costs, &finished, false);
         } else {
             // Full rebuild: each job's row folded left to right, several
             // rows side by side (identical per-job fold order).
             self.comp_sum.clear();
             self.comp_sum.resize(jobs, 0.0);
-            self.avg.clear();
-            self.avg.resize(jobs, 0.0);
             self.ranks.resize(jobs, 0.0);
-            self.dirty.clear();
-            self.dirty.resize(jobs, false);
             self.alive.clear();
             self.alive.extend_from_slice(alive);
             costs.fold_columns_into(alive, &mut self.comp_sum);
-            self.key = Some(key);
-            self.sweep(dag, costs, &finished, true);
         }
+        self.key = Some(key);
+        self.sweep(dag, costs, &finished);
         self.epoch
     }
 
-    /// Reverse-topological rank sweep. With `force` every unfinished job
-    /// is recomputed; otherwise a job is skipped when its average is
-    /// bit-unchanged and no successor's rank changed (dirty bits propagate
-    /// upward from changed successors to their predecessors).
+    /// Reverse-topological rank sweep over every unfinished job.
     // analyzer: hot
-    fn sweep<F: Fn(JobId) -> bool>(
-        &mut self,
-        dag: &Dag,
-        costs: &CostTable,
-        finished: &F,
-        force: bool,
-    ) {
+    fn sweep<F: Fn(JobId) -> bool>(&mut self, dag: &Dag, costs: &CostTable, finished: &F) {
         let len = self.alive.len();
         let len_f = len as f64;
-        if !force {
-            self.dirty.fill(false);
-        }
-        let mut any_changed = false;
         for &j in dag.topo_order().iter().rev() {
             let ji = j.idx();
             if finished(j) {
@@ -193,10 +168,7 @@ impl RankEngine {
             }
             // Same expression rank_upward_over_into evaluates: left-to-right
             // sum (cached) divided by the alive count.
-            let new_avg = if len == 0 { 0.0 } else { self.comp_sum[ji] / len_f };
-            if !force && !self.dirty[ji] && new_avg.to_bits() == self.avg[ji].to_bits() {
-                continue; // inputs bit-identical => rank bit-identical
-            }
+            let mean = if len == 0 { 0.0 } else { self.comp_sum[ji] / len_f };
             let mut best = 0.0f64;
             for &(s, e) in dag.succs(j) {
                 debug_assert!(
@@ -208,21 +180,9 @@ impl RankEngine {
                     best = cand;
                 }
             }
-            let new_rank = new_avg + best;
-            self.avg[ji] = new_avg;
-            if force || new_rank.to_bits() != self.ranks[ji].to_bits() {
-                self.ranks[ji] = new_rank;
-                any_changed = true;
-                if !force {
-                    for &(p, _) in dag.preds(j) {
-                        self.dirty[p.idx()] = true;
-                    }
-                }
-            }
+            self.ranks[ji] = mean + best;
         }
-        if any_changed || force {
-            self.epoch += 1;
-        }
+        self.epoch += 1;
     }
 }
 
@@ -309,19 +269,19 @@ mod tests {
     #[test]
     fn homogeneous_pool_growth_changes_no_rank() {
         // β = 0: a joining twin resource leaves every average — and so
-        // every rank — bit-identical; the dirty-bit sweep must report no
-        // change (epoch stable).
+        // every rank — bit-identical.
         let dag = diamond();
         let mut costs =
             CostTable::from_dag_comm(&dag, &[vec![3.0], vec![2.0], vec![6.0], vec![7.0]], 1.0)
                 .unwrap();
         let mut engine = RankEngine::new();
-        let e1 = engine.update(&dag, &costs, &[ResourceId(0)], |_| false);
+        engine.update(&dag, &costs, &[ResourceId(0)], |_| false);
+        let before = engine.ranks().to_vec();
         let r1 = costs.add_resource(&[3.0, 2.0, 6.0, 7.0]).unwrap();
         let alive = [ResourceId(0), r1];
-        let e2 = engine.update(&dag, &costs, &alive, |_| false);
-        assert_eq!(e1, e2, "identical averages must not bump the epoch");
+        engine.update(&dag, &costs, &alive, |_| false);
         assert_ranks_exact(&engine, &dag, &costs, &alive);
+        assert_eq!(engine.ranks(), &before[..]);
     }
 
     #[test]

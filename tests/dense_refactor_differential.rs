@@ -44,7 +44,6 @@ fn oracle_reschedule(
     alive: &[ResourceId],
     config: &AheftConfig,
 ) -> (Vec<Assignment>, f64) {
-    let view = snapshot.view();
     let clock = snapshot.clock;
     let total_resources = costs.resource_count();
 
@@ -58,7 +57,7 @@ fn oracle_reschedule(
     if config.reschedulable == ReschedulableSet::NotStarted {
         for j in dag.job_ids() {
             if let aheft::gridsim::JobState::Running { resource, expected_finish, .. } =
-                snapshot.state(j)
+                snapshot.state.state(j)
             {
                 pinned.insert(j, (resource, expected_finish));
                 if resource.idx() < floor.len() {
@@ -86,7 +85,7 @@ fn oracle_reschedule(
             for &(p, e) in dag.preds(job) {
                 // Eq. 1, classified from scratch for every (job, r, pred).
                 let t = if snapshot.is_finished(p) {
-                    match view.edge_data_available(p, e, r) {
+                    match snapshot.state.edge_data_available(p, e, r) {
                         Some(t) => t,
                         None => clock + costs.comm(e),
                     }
@@ -123,7 +122,7 @@ fn oracle_reschedule(
 
     let mut predicted = assignments.iter().map(|a| a.finish).fold(0.0, f64::max);
     for j in dag.job_ids() {
-        if let aheft::gridsim::JobState::Finished { aft, .. } = snapshot.state(j) {
+        if let aheft::gridsim::JobState::Finished { aft, .. } = snapshot.state.state(j) {
             predicted = predicted.max(aft);
         }
     }
@@ -160,7 +159,9 @@ fn assert_identical(kind: &str, seed: u64, a: &[Assignment], b: &[Assignment]) {
 
 /// Fabricate a plausible mid-run snapshot: a topo prefix finished (spread
 /// over resources, with committed transfers for some out-edges), a couple
-/// of jobs running, the rest waiting.
+/// of jobs running, the rest waiting. The reported availability floors
+/// are absent, one per resource, or fewer than the pool, and lie above the
+/// clock on some resources and at or below it on others.
 fn fabricate_snapshot(
     dag: &Dag,
     costs: &CostTable,
@@ -170,7 +171,18 @@ fn fabricate_snapshot(
     let clock = 100.0 + rng.random_range(0.0..200.0);
     let mut snap = Snapshot::initial(resources);
     snap.clock = clock;
-    snap.resource_avail = vec![clock; resources];
+    let reported = match rng.random_range(0..3) {
+        0 => 0,
+        1 => resources,
+        _ => rng.random_range(1..resources),
+    };
+    snap.resource_avail = (0..reported)
+        .map(|_| match rng.random_range(0..3) {
+            0 => clock + rng.random_range(1.0..60.0),
+            1 => clock,
+            _ => clock - rng.random_range(1.0..60.0),
+        })
+        .collect();
     let done = rng.random_range(0..=dag.job_count() / 2);
     let topo: Vec<JobId> = dag.topo_order().to_vec();
     for (k, &j) in topo.iter().take(done).enumerate() {
@@ -212,7 +224,6 @@ fn fabricate_multi_transfer_snapshot(
     let clock = 100.0 + rng.random_range(0.0..200.0);
     let mut snap = Snapshot::initial(resources);
     snap.clock = clock;
-    snap.resource_avail = vec![clock; resources];
     let done = rng.random_range(dag.job_count() / 4..=dag.job_count() * 3 / 4);
     let topo: Vec<JobId> = dag.topo_order().to_vec();
     for (k, &j) in topo.iter().take(done).enumerate() {
@@ -330,7 +341,7 @@ fn finished_fold_matches_the_oracle_with_many_transfers_and_ties() {
 }
 
 #[test]
-fn mirror_pass_matches_the_oracle_above_the_gate() {
+fn large_pass_matches_the_oracle_before_and_after_a_join() {
     // A large mid-run instance on one reused workspace, then again after a
     // resource joins, which re-strides the tight sampled table.
     let (jobs, resources) = (1100usize, 480usize);
@@ -364,7 +375,7 @@ fn mirror_pass_matches_the_oracle_above_the_gate() {
 }
 
 #[test]
-fn mirror_appends_follow_the_table_lineage() {
+fn reused_workspace_follows_the_table_lineage() {
     // One reused workspace follows a table through joins inside the row
     // padding, a batch of joins that forces a re-stride, a clone that
     // branched off before the last join, and a `truncate_resources` round

@@ -121,7 +121,6 @@ proptest! {
         let mut snap = Snapshot::initial(resources);
         snap.clock = 120.0;
         snap.set_finished(first, ResourceId(0), 50.0);
-        snap.resource_avail = vec![120.0; resources];
         let alive: Vec<ResourceId> = (1..resources).map(ResourceId::from).collect();
         if alive.is_empty() { return Ok(()); }
         let out = aheft_reschedule(&wf.dag, &costs, &snap, &alive, &AheftConfig::default());

@@ -52,7 +52,6 @@ fn fabricate_snapshot(
     let clock = 100.0 + rng.random_range(0.0..200.0);
     let mut snap = Snapshot::initial(resources);
     snap.clock = clock;
-    snap.resource_avail = vec![clock; resources];
     let done = rng.random_range(0..=dag.job_count() / 2);
     let topo: Vec<JobId> = dag.topo_order().to_vec();
     for (k, &j) in topo.iter().take(done).enumerate() {
@@ -108,7 +107,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn schedules_identical_across_kernels_and_threads(
+    fn schedules_identical_across_tables_and_threads(
         (jobs, resources, ccr, seed) in arb_instance()
     ) {
         let mut rng = StdRng::seed_from_u64(seed);

@@ -85,7 +85,6 @@ fn midrun(p: &RandomDagParams, resources: usize) -> Instance {
     let costs = wf.sample_table(resources, &mut rng);
     let mut snap = Snapshot::initial(resources);
     snap.clock = 500.0;
-    snap.resource_avail = vec![500.0; resources];
     for (k, &j) in wf.dag.topo_order().to_vec().iter().take(p.jobs / 2).enumerate() {
         snap.set_finished(j, ResourceId::from(k % resources), 400.0);
         for &(_, e) in wf.dag.succs(j) {
@@ -120,7 +119,7 @@ fn aheft_pass_allocates_nothing_after_warmup() {
 }
 
 #[test]
-fn tiled_kernel_pass_allocates_nothing_after_warmup() {
+fn large_pass_allocates_nothing_after_warmup() {
     // A large instance: warm passes stay zero-alloc at this size too.
     // v=1100 with out-degree at most 8 keeps the edge count realistic.
     let _serial = SERIAL.lock().unwrap();
