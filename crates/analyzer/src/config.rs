@@ -1,183 +1,67 @@
-//! `analyzer.toml` loading.
+//! The analyzer's scopes and the glob matcher that reads them.
 //!
-//! The workspace is offline/vendored-only, so instead of a `toml`
-//! dependency the analyzer parses the small TOML subset its config needs:
-//! `[section]` / `[section.sub]` headers, `key = "string"`,
-//! `key = true|false`, and (possibly multi-line) string arrays
-//! `key = ["a", "b"]`. `#` comments are stripped outside strings.
+//! Paths are workspace-relative with forward slashes. A glob's `**` spans
+//! path segments, `*` matches within one segment, and everything else is
+//! literal. The hash-collection and float-fold rules apply to every
+//! scanned file, so they have no module scope.
 
-use std::collections::BTreeMap;
-use std::fmt;
+/// Directories whose `.rs` files are scanned. Production sources only:
+/// integration tests and examples are not scanned, because the runtime
+/// suites govern those and timing/unwrap idioms are legitimate there.
+pub const SCAN_ROOTS: &[&str] = &[
+    "src",
+    "crates/workflow/src",
+    "crates/gridsim/src",
+    "crates/core/src",
+    "crates/parcomp/src",
+    "crates/serve/src",
+    "crates/bench/src",
+    "crates/analyzer/src",
+];
 
-/// A parsed configuration value.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Value {
-    /// `key = "text"`.
-    Str(String),
-    /// `key = true` / `key = false`.
-    Bool(bool),
-    /// `key = ["a", "b"]`.
-    List(Vec<String>),
-}
+/// Collection types with randomized iteration order. Every scanned module
+/// is deterministic: iteration order anywhere in the
+/// planner/runner/policy/sweep stack can reach schedules, traces or CSVs.
+pub const HASH_TYPES: &[&str] = &["HashMap", "HashSet"];
 
-/// Parsed config: `section -> key -> value`, sections in lexical order so
-/// everything downstream of the config is deterministic by construction.
-#[derive(Debug, Default, Clone)]
-pub struct Toml {
-    sections: BTreeMap<String, BTreeMap<String, Value>>,
-}
+/// Files where ambient entropy is permitted. Wall-clock timing and env
+/// reads belong to the CLI entry points, which time sweeps and read argv.
+/// Everything else must be a pure function of explicit seeds and inputs.
+pub const ENTROPY_ALLOWED: &[&str] =
+    &["crates/bench/src/bin/**", "crates/serve/src/bin/**", "crates/analyzer/src/main.rs"];
 
-/// A config syntax error with its 1-based line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TomlError {
-    /// 1-based line of the offending text.
-    pub line: u32,
-    /// Human-readable description.
-    pub message: String,
-}
+/// Identifiers that read ambient state (clocks, OS entropy).
+pub const ENTROPY_SOURCES: &[&str] =
+    &["SystemTime", "Instant", "thread_rng", "OsRng", "from_entropy", "getrandom"];
 
-impl fmt::Display for TomlError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "analyzer.toml:{}: {}", self.line, self.message)
-    }
-}
+/// The blessed rank/Eq. 2 kernels: their exact left-to-right fold order IS
+/// the bit-identity contract, pinned by `tests/rank_engine_props.rs` and
+/// the differential suites. New float folds belong there or need an allow.
+pub const FLOAT_BLESSED: &[&str] =
+    &["crates/workflow/src/rank.rs", "crates/workflow/src/rank_engine.rs"];
 
-impl Toml {
-    /// Parse the supported TOML subset.
-    pub fn parse(src: &str) -> Result<Self, TomlError> {
-        let mut out = Toml::default();
-        let mut section = String::new();
-        let mut lines = src.lines().enumerate();
-        while let Some((i, raw)) = lines.next() {
-            let lineno = i as u32 + 1;
-            let line = strip_comment(raw).trim().to_string();
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-                section = name.trim().to_string();
-                out.sections.entry(section.clone()).or_default();
-                continue;
-            }
-            let Some(eq) = line.find('=') else {
-                return Err(TomlError {
-                    line: lineno,
-                    message: format!("expected `key = value`, got `{line}`"),
-                });
-            };
-            let key = line[..eq].trim().to_string();
-            let mut rhs = line[eq + 1..].trim().to_string();
-            // Multi-line arrays: keep consuming lines until brackets close.
-            if rhs.starts_with('[') {
-                while !array_closed(&rhs) {
-                    let Some((_, next)) = lines.next() else {
-                        return Err(TomlError {
-                            line: lineno,
-                            message: format!("unterminated array for key `{key}`"),
-                        });
-                    };
-                    rhs.push(' ');
-                    rhs.push_str(strip_comment(next).trim());
-                }
-            }
-            let value = parse_value(&rhs).ok_or_else(|| TomlError {
-                line: lineno,
-                message: format!("unsupported value for `{key}`: `{rhs}`"),
-            })?;
-            out.sections.entry(section.clone()).or_default().insert(key, value);
-        }
-        Ok(out)
-    }
+/// Order-insensitive fold combiners: max/min are associative and
+/// commutative, and NaN never enters (costs and times are validated finite
+/// at construction).
+pub const EXEMPT_FOLDS: &[&str] = &["f64::max", "f64::min"];
 
-    /// String list at `[section] key`, or empty when absent.
-    pub fn list(&self, section: &str, key: &str) -> Vec<String> {
-        match self.sections.get(section).and_then(|s| s.get(key)) {
-            Some(Value::List(v)) => v.clone(),
-            Some(Value::Str(s)) => vec![s.clone()],
-            _ => Vec::new(),
-        }
-    }
-
-    /// Bool at `[section] key`, or `default` when absent.
-    pub fn bool(&self, section: &str, key: &str, default: bool) -> bool {
-        match self.sections.get(section).and_then(|s| s.get(key)) {
-            Some(Value::Bool(b)) => *b,
-            _ => default,
-        }
-    }
-}
-
-fn strip_comment(line: &str) -> &str {
-    let mut in_str = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '"' => in_str = !in_str,
-            '#' if !in_str => return &line[..i],
-            _ => {}
-        }
-    }
-    line
-}
-
-fn array_closed(rhs: &str) -> bool {
-    let mut depth = 0i32;
-    let mut in_str = false;
-    for c in rhs.chars() {
-        match c {
-            '"' => in_str = !in_str,
-            '[' if !in_str => depth += 1,
-            ']' if !in_str => depth -= 1,
-            _ => {}
-        }
-    }
-    depth <= 0
-}
-
-fn parse_value(rhs: &str) -> Option<Value> {
-    let rhs = rhs.trim();
-    if rhs == "true" {
-        return Some(Value::Bool(true));
-    }
-    if rhs == "false" {
-        return Some(Value::Bool(false));
-    }
-    if let Some(s) = rhs.strip_prefix('"').and_then(|r| r.strip_suffix('"')) {
-        return Some(Value::Str(s.to_string()));
-    }
-    if let Some(inner) = rhs.strip_prefix('[').and_then(|r| r.strip_suffix(']')) {
-        let mut items = Vec::new();
-        for part in split_top_level(inner) {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            let s = part.strip_prefix('"')?.strip_suffix('"')?;
-            items.push(s.to_string());
-        }
-        return Some(Value::List(items));
-    }
-    None
-}
-
-fn split_top_level(s: &str) -> Vec<String> {
-    let mut parts = Vec::new();
-    let mut cur = String::new();
-    let mut in_str = false;
-    for c in s.chars() {
-        match c {
-            '"' => {
-                in_str = !in_str;
-                cur.push(c);
-            }
-            ',' if !in_str => {
-                parts.push(std::mem::take(&mut cur));
-            }
-            _ => cur.push(c),
-        }
-    }
-    parts.push(cur);
-    parts
-}
+/// First path segments permitted in `use` beyond
+/// std/core/alloc/crate/self/super: the workspace crates and the vendored
+/// stand-ins (see `vendor/`).
+pub const IMPORT_ALLOW: &[&str] = &[
+    "aheft",
+    "aheft_workflow",
+    "aheft_gridsim",
+    "aheft_core",
+    "aheft_parcomp",
+    "aheft_serve",
+    "aheft_bench",
+    "analyzer",
+    "rand",
+    "serde",
+    "serde_json",
+    "proptest",
+];
 
 /// Match `path` (forward-slash separated, relative to the workspace root)
 /// against a glob where `**` spans path segments, `*` matches within one
@@ -217,111 +101,13 @@ fn match_one(pat: &str, seg: &str) -> bool {
 }
 
 /// True when `path` matches any pattern in `globs`.
-pub fn matches_any(globs: &[String], path: &str) -> bool {
+pub fn matches_any(globs: &[&str], path: &str) -> bool {
     globs.iter().any(|g| glob_match(g, path))
-}
-
-/// The analyzer's resolved configuration (see `analyzer.toml` at the
-/// workspace root and `docs/ANALYZER.md` for the catalog).
-#[derive(Debug, Clone)]
-pub struct Config {
-    /// Directories (workspace-relative) whose `.rs` files are scanned.
-    pub roots: Vec<String>,
-    /// Module globs declared deterministic (nondeterministic-iteration).
-    pub det_modules: Vec<String>,
-    /// Collection type names with randomized iteration order.
-    pub hash_types: Vec<String>,
-    /// Module globs where ambient entropy (clocks, env) is permitted.
-    pub entropy_allowed: Vec<String>,
-    /// Identifier names that read ambient state.
-    pub entropy_sources: Vec<String>,
-    /// Module globs the float-reduction rule applies to.
-    pub float_modules: Vec<String>,
-    /// File globs of the blessed rank/Eq.2 kernels (exempt from the
-    /// float-reduction rule: their fold order IS the contract, pinned by
-    /// the differential suites).
-    pub float_blessed: Vec<String>,
-    /// Order-insensitive fold combiners (`f64::max`-style paths).
-    pub exempt_folds: Vec<String>,
-    /// Also flag postfix slice indexing in hot functions.
-    pub flag_indexing: bool,
-    /// First path segments permitted in `use` statements beyond
-    /// std/core/alloc/crate/self/super.
-    pub import_allow: Vec<String>,
-}
-
-impl Config {
-    /// Resolve a parsed [`Toml`] into a full config, filling defaults.
-    pub fn from_toml(t: &Toml) -> Self {
-        let or = |v: Vec<String>, d: &[&str]| {
-            if v.is_empty() {
-                d.iter().map(|s| s.to_string()).collect()
-            } else {
-                v
-            }
-        };
-        Self {
-            roots: or(t.list("scan", "roots"), &["src"]),
-            det_modules: t.list("lints.nondeterministic-iteration", "modules"),
-            hash_types: or(
-                t.list("lints.nondeterministic-iteration", "types"),
-                &["HashMap", "HashSet"],
-            ),
-            entropy_allowed: t.list("lints.ambient-entropy", "allowed-modules"),
-            entropy_sources: or(
-                t.list("lints.ambient-entropy", "sources"),
-                &["SystemTime", "Instant", "thread_rng", "OsRng", "from_entropy", "getrandom"],
-            ),
-            float_modules: t.list("lints.float-reduction-discipline", "modules"),
-            float_blessed: t.list("lints.float-reduction-discipline", "blessed"),
-            exempt_folds: or(
-                t.list("lints.float-reduction-discipline", "exempt-folds"),
-                &["f64::max", "f64::min"],
-            ),
-            flag_indexing: t.bool("lints.hot-path", "flag-indexing", false),
-            import_allow: t.list("lints.vendor-only-imports", "allow"),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parses_sections_and_values() {
-        let t = Toml::parse(
-            r#"
-            [scan]
-            roots = ["src", "crates/core/src"] # comment
-            [lints.hot-path]
-            flag-indexing = false
-            name = "hot"
-            "#,
-        )
-        .unwrap();
-        assert_eq!(t.list("scan", "roots"), vec!["src", "crates/core/src"]);
-        assert!(!t.bool("lints.hot-path", "flag-indexing", true));
-        assert_eq!(t.list("lints.hot-path", "name"), vec!["hot"]);
-    }
-
-    #[test]
-    fn parses_multiline_arrays() {
-        let t = Toml::parse("[s]\nxs = [\n  \"a\",\n  \"b\",\n]\n").unwrap();
-        assert_eq!(t.list("s", "xs"), vec!["a", "b"]);
-    }
-
-    #[test]
-    fn rejects_garbage() {
-        assert!(Toml::parse("[s]\nnot a kv\n").is_err());
-        assert!(Toml::parse("[s]\nx = [\"unterminated\"\n").is_err());
-    }
-
-    #[test]
-    fn hash_inside_string_is_not_comment() {
-        let t = Toml::parse("[s]\nx = \"a#b\"\n").unwrap();
-        assert_eq!(t.list("s", "x"), vec!["a#b"]);
-    }
 
     #[test]
     fn globs() {

@@ -8,8 +8,8 @@
 //!
 //! Run it as `cargo run -p analyzer -- check` from the workspace root; the
 //! rule catalog and suppression syntax are documented in
-//! `docs/ANALYZER.md`, the configuration in `analyzer.toml`. The runtime
-//! complements are the differential/property suites
+//! `docs/ANALYZER.md`, and the scopes are constants in [`config`]. The
+//! runtime complements are the differential/property suites
 //! (`tests/policy_differential.rs`, `tests/zero_alloc.rs`,
 //! `tests/sweep_determinism.rs`): the analyzer rejects the *patterns* that
 //! would make those suites flake, before they compile.
@@ -24,25 +24,13 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-pub use config::{Config, Toml, TomlError};
 pub use lints::{analyze_source, Diagnostic, LINT_NAMES};
 
-/// Load `analyzer.toml` from `root` and analyze every configured source
-/// file. Returned diagnostics are sorted by (file, line, lint).
+/// Analyze every `.rs` file under the [`config::SCAN_ROOTS`] of the
+/// workspace at `root`. Returned diagnostics are sorted by (file, line, lint).
 pub fn check_workspace(root: &Path) -> Result<Vec<Diagnostic>, String> {
-    let cfg_path = root.join("analyzer.toml");
-    let text = fs::read_to_string(&cfg_path)
-        .map_err(|e| format!("cannot read {}: {e}", cfg_path.display()))?;
-    let toml = Toml::parse(&text).map_err(|e| e.to_string())?;
-    let cfg = Config::from_toml(&toml);
-    check_workspace_with(root, &cfg)
-}
-
-/// As [`check_workspace`], with an explicit configuration (used by the
-/// fixture tests).
-pub fn check_workspace_with(root: &Path, cfg: &Config) -> Result<Vec<Diagnostic>, String> {
     let mut files = Vec::new();
-    for r in &cfg.roots {
+    for r in config::SCAN_ROOTS {
         let dir = root.join(r);
         collect_rs_files(&dir, &mut files)
             .map_err(|e| format!("scanning {}: {e}", dir.display()))?;
@@ -58,7 +46,7 @@ pub fn check_workspace_with(root: &Path, cfg: &Config) -> Result<Vec<Diagnostic>
             .collect::<Vec<_>>()
             .join("/");
         let src = fs::read_to_string(f).map_err(|e| format!("reading {}: {e}", f.display()))?;
-        diags.extend(analyze_source(&rel, &src, cfg));
+        diags.extend(analyze_source(&rel, &src));
     }
     diags.sort_by(|a, b| (&a.file, a.line, &a.lint).cmp(&(&b.file, b.line, &b.lint)));
     Ok(diags)

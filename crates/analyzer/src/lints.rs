@@ -7,7 +7,10 @@
 //! applies to, and intentional exceptions are spelled out in source with
 //! `// analyzer::allow(lint-name): reason`.
 
-use crate::config::{matches_any, Config};
+use crate::config::{
+    matches_any, ENTROPY_ALLOWED, ENTROPY_SOURCES, EXEMPT_FOLDS, FLOAT_BLESSED, HASH_TYPES,
+    IMPORT_ALLOW,
+};
 use crate::lexer::{lex, Comment, Token, TokenKind};
 
 /// One diagnostic: a lint finding at a source line.
@@ -52,8 +55,9 @@ struct Allow {
 }
 
 /// Analyze one file's source text. `path` must be workspace-relative with
-/// forward slashes (it is matched against the config's module globs).
-pub fn analyze_source(path: &str, src: &str, cfg: &Config) -> Vec<Diagnostic> {
+/// forward slashes (it is matched against the scope globs in
+/// [`crate::config`]).
+pub fn analyze_source(path: &str, src: &str) -> Vec<Diagnostic> {
     let lexed = lex(src);
     let tokens = &lexed.tokens;
     let test_regions = test_regions(tokens);
@@ -84,7 +88,7 @@ pub fn analyze_source(path: &str, src: &str, cfg: &Config) -> Vec<Diagnostic> {
         }
     }
 
-    let ctx = FileCtx { path, tokens, test_regions, hot_regions, cfg };
+    let ctx = FileCtx { path, tokens, test_regions, hot_regions };
     lint_hash_collections(&ctx, &mut diags);
     lint_ambient_entropy(&ctx, &mut diags);
     lint_float_reductions(&ctx, &mut diags);
@@ -108,7 +112,6 @@ struct FileCtx<'a> {
     tokens: &'a [Token],
     test_regions: Vec<(u32, u32)>,
     hot_regions: Vec<(u32, u32)>,
-    cfg: &'a Config,
 }
 
 impl FileCtx<'_> {
@@ -278,12 +281,9 @@ fn hot_regions(tokens: &[Token], comments: &[Comment]) -> Vec<(u32, u32)> {
 /// modules must either switch to an order-stable structure or carry an
 /// allow stating that the collection is never iterated.
 fn lint_hash_collections(ctx: &FileCtx, diags: &mut Vec<Diagnostic>) {
-    if !matches_any(&ctx.cfg.det_modules, ctx.path) {
-        return;
-    }
     for t in ctx.tokens {
         if t.kind == TokenKind::Ident
-            && ctx.cfg.hash_types.iter().any(|ty| ty == &t.text)
+            && HASH_TYPES.contains(&t.text.as_str())
             && !ctx.in_test(t.line)
         {
             ctx.emit(
@@ -301,10 +301,10 @@ fn lint_hash_collections(ctx: &FileCtx, diags: &mut Vec<Diagnostic>) {
 }
 
 /// ambient-entropy: wall clocks, OS entropy and environment reads leak
-/// nondeterminism into anything they touch. Outside the configured timing
+/// nondeterminism into anything they touch. Outside the allowed timing
 /// modules every run must be a pure function of its inputs and seeds.
 fn lint_ambient_entropy(ctx: &FileCtx, diags: &mut Vec<Diagnostic>) {
-    if matches_any(&ctx.cfg.entropy_allowed, ctx.path) {
+    if matches_any(ENTROPY_ALLOWED, ctx.path) {
         return;
     }
     let toks = ctx.tokens;
@@ -312,7 +312,7 @@ fn lint_ambient_entropy(ctx: &FileCtx, diags: &mut Vec<Diagnostic>) {
         if t.kind != TokenKind::Ident || ctx.in_test(t.line) {
             continue;
         }
-        let flagged = if ctx.cfg.entropy_sources.iter().any(|s| s == &t.text) {
+        let flagged = if ENTROPY_SOURCES.contains(&t.text.as_str()) {
             true
         } else if t.text == "env" {
             // `std::env` / `env::var` paths, not the `env!` macro or a
@@ -348,9 +348,7 @@ fn lint_ambient_entropy(ctx: &FileCtx, diags: &mut Vec<Diagnostic>) {
 /// over floats and each float-seeded `.fold()` with a non-exempt combiner
 /// must state why its order is fixed.
 fn lint_float_reductions(ctx: &FileCtx, diags: &mut Vec<Diagnostic>) {
-    if !matches_any(&ctx.cfg.float_modules, ctx.path)
-        || matches_any(&ctx.cfg.float_blessed, ctx.path)
-    {
+    if matches_any(FLOAT_BLESSED, ctx.path) {
         return;
     }
     let toks = ctx.tokens;
@@ -404,7 +402,7 @@ fn lint_float_reductions(ctx: &FileCtx, diags: &mut Vec<Diagnostic>) {
                 if !seed_is_float(&seed) {
                     continue;
                 }
-                if ctx.cfg.exempt_folds.iter().any(|e| e == &combiner) {
+                if EXEMPT_FOLDS.contains(&combiner.as_str()) {
                     continue;
                 }
                 ctx.emit(
@@ -469,109 +467,66 @@ fn seed_is_float(seed: &[Token]) -> bool {
 fn lint_hot_paths(ctx: &FileCtx, diags: &mut Vec<Diagnostic>) {
     let toks = ctx.tokens;
     for (i, t) in toks.iter().enumerate() {
-        if !ctx.in_hot(t.line) || ctx.in_test(t.line) {
+        if t.kind != TokenKind::Ident || !ctx.in_hot(t.line) || ctx.in_test(t.line) {
             continue;
         }
-        if t.kind == TokenKind::Ident {
-            let prev_dot = i > 0 && toks[i - 1].is_punct('.');
-            let next_bang = toks.get(i + 1).is_some_and(|n| n.is_punct('!'));
-            match t.text.as_str() {
-                "unwrap" | "expect" if prev_dot => ctx.emit(
+        let prev_dot = i > 0 && toks[i - 1].is_punct('.');
+        let next_bang = toks.get(i + 1).is_some_and(|n| n.is_punct('!'));
+        match t.text.as_str() {
+            "unwrap" | "expect" if prev_dot => ctx.emit(
+                diags,
+                t.line,
+                "panic-in-hot-path",
+                format!(
+                    "`.{}()` in a `// analyzer: hot` function: hot passes must not carry \
+                     panicking shortcuts — handle the case or justify the invariant",
+                    t.text
+                ),
+            ),
+            "panic" if next_bang => ctx.emit(
+                diags,
+                t.line,
+                "panic-in-hot-path",
+                "`panic!` in a `// analyzer: hot` function".to_string(),
+            ),
+            "clone" | "cloned" | "to_vec" | "to_string" | "to_owned" | "collect"
+            | "with_capacity"
+                if prev_dot =>
+            {
+                ctx.emit(
                     diags,
                     t.line,
-                    "panic-in-hot-path",
+                    "alloc-in-hot-path",
                     format!(
-                        "`.{}()` in a `// analyzer: hot` function: hot passes must not carry \
-                         panicking shortcuts — handle the case or justify the invariant",
+                        "`.{}()` allocates in a `// analyzer: hot` function: hot passes reuse \
+                         workspace buffers instead of allocating per pass",
                         t.text
                     ),
-                ),
-                "panic" if next_bang => ctx.emit(
-                    diags,
-                    t.line,
-                    "panic-in-hot-path",
-                    "`panic!` in a `// analyzer: hot` function".to_string(),
-                ),
-                "clone" | "cloned" | "to_vec" | "to_string" | "to_owned" | "collect"
-                | "with_capacity"
-                    if prev_dot =>
-                {
+                );
+            }
+            "vec" | "format" if next_bang => ctx.emit(
+                diags,
+                t.line,
+                "alloc-in-hot-path",
+                format!("`{}!` allocates in a `// analyzer: hot` function", t.text),
+            ),
+            "Vec" | "String" | "Box" | "VecDeque" | "BTreeMap" | "BTreeSet" | "BinaryHeap"
+            | "HashMap" | "HashSet"
+                // `Type::new(...)` constructor
+                if toks.get(i + 1).is_some_and(|n| n.is_punct(':'))
+                    && toks.get(i + 2).is_some_and(|n| n.is_punct(':'))
+                    && toks.get(i + 3).is_some_and(|n| n.is_ident("new"))
+                => {
                     ctx.emit(
                         diags,
                         t.line,
                         "alloc-in-hot-path",
-                        format!(
-                            "`.{}()` allocates in a `// analyzer: hot` function: hot passes reuse \
-                             workspace buffers instead of allocating per pass",
-                            t.text
-                        ),
+                        format!("`{}::new()` constructs a container in a `// analyzer: hot` function", t.text),
                     );
                 }
-                "vec" | "format" if next_bang => ctx.emit(
-                    diags,
-                    t.line,
-                    "alloc-in-hot-path",
-                    format!("`{}!` allocates in a `// analyzer: hot` function", t.text),
-                ),
-                "Vec" | "String" | "Box" | "VecDeque" | "BTreeMap" | "BTreeSet" | "BinaryHeap"
-                | "HashMap" | "HashSet"
-                    // `Type::new(...)` constructor
-                    if toks.get(i + 1).is_some_and(|n| n.is_punct(':'))
-                        && toks.get(i + 2).is_some_and(|n| n.is_punct(':'))
-                        && toks.get(i + 3).is_some_and(|n| n.is_ident("new"))
-                    => {
-                        ctx.emit(
-                            diags,
-                            t.line,
-                            "alloc-in-hot-path",
-                            format!("`{}::new()` constructs a container in a `// analyzer: hot` function", t.text),
-                        );
-                    }
-                _ => {}
-            }
-        }
-        // Optional: postfix indexing (`x[i]`) — panics on out-of-bounds.
-        if ctx.cfg.flag_indexing && t.is_punct('[') && i > 0 {
-            let p = &toks[i - 1];
-            let postfix = p.is_punct(')')
-                || p.is_punct(']')
-                || (p.kind == TokenKind::Ident && !is_keyword(&p.text));
-            if postfix {
-                ctx.emit(
-                    diags,
-                    t.line,
-                    "panic-in-hot-path",
-                    "slice indexing in a `// analyzer: hot` function can panic; use `get` or \
-                     justify the bound"
-                        .to_string(),
-                );
-            }
+            _ => {}
         }
     }
-}
-
-fn is_keyword(s: &str) -> bool {
-    matches!(
-        s,
-        "in" | "return"
-            | "break"
-            | "else"
-            | "match"
-            | "if"
-            | "while"
-            | "loop"
-            | "move"
-            | "mut"
-            | "ref"
-            | "as"
-            | "let"
-            | "const"
-            | "static"
-            | "fn"
-            | "impl"
-            | "where"
-            | "for"
-    )
 }
 
 /// vendor-only-imports: every `use` must resolve inside std, the workspace,
@@ -606,7 +561,7 @@ fn lint_imports(ctx: &FileCtx, diags: &mut Vec<Diagnostic>) {
         if matches!(seg, "crate" | "self" | "super" | "std" | "core" | "alloc") {
             continue;
         }
-        if ctx.cfg.import_allow.iter().any(|a| a == seg) || local_mods.contains(&seg) {
+        if IMPORT_ALLOW.contains(&seg) || local_mods.contains(&seg) {
             continue;
         }
         ctx.emit(

@@ -1,6 +1,6 @@
 //! `analyzer` CLI: `cargo run -p analyzer -- check [--format json] [--root DIR]`.
 //!
-//! Exit codes: 0 = clean, 1 = findings, 2 = usage/config error.
+//! Exit codes: 0 = clean, 1 = findings, 2 = usage or I/O error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -8,8 +8,8 @@ use std::process::ExitCode;
 fn usage() -> &'static str {
     "usage: analyzer check [--format text|json] [--root DIR]\n\
      \n\
-     Static determinism/hot-path lints for this workspace; configuration is\n\
-     read from <root>/analyzer.toml. See docs/ANALYZER.md for the catalog."
+     Static determinism/hot-path lints for the workspace at <root> (default:\n\
+     the current directory). See docs/ANALYZER.md for the catalog."
 }
 
 fn main() -> ExitCode {

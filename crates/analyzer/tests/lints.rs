@@ -1,47 +1,28 @@
 //! Fixture-driven tests for the lint registry, plus the meta-test that the
-//! workspace itself stays clean under the real `analyzer.toml`.
+//! workspace itself stays clean.
 //!
 //! The files under `tests/fixtures/` are never compiled; each one is a
 //! small source text that must trip (or, for the suppression fixtures,
-//! stay clean under) exactly the rules its name announces.
+//! stay clean under) exactly the rules its name announces. A fixture is
+//! analyzed under its bare file name, which no scope glob in
+//! `analyzer::config` matches, so every rule applies to it.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use analyzer::{analyze_source, check_workspace, Config, Diagnostic, Toml, LINT_NAMES};
-
-/// A config that applies every rule to every fixture path: all modules are
-/// deterministic and float-disciplined, nothing is blessed, and only the
-/// workspace/vendor crates of the real repo are importable.
-fn fixture_cfg() -> Config {
-    let toml = Toml::parse(
-        r#"
-        [scan]
-        roots = ["tests/fixtures"]
-
-        [lints.nondeterministic-iteration]
-        modules = ["**"]
-
-        [lints.float-reduction-discipline]
-        modules = ["**"]
-
-        [lints.vendor-only-imports]
-        allow = ["serde", "aheft_workflow", "aheft_gridsim", "aheft_core"]
-        "#,
-    )
-    .expect("fixture config parses");
-    Config::from_toml(&toml)
-}
+use analyzer::{analyze_source, check_workspace, Diagnostic, LINT_NAMES};
 
 fn fixture_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests").join("fixtures")
 }
 
-fn run_fixture(name: &str) -> Vec<Diagnostic> {
+fn fixture_src(name: &str) -> String {
     let path = fixture_dir().join(name);
-    let src = fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("reading fixture {}: {e}", path.display()));
-    analyze_source(name, &src, &fixture_cfg())
+    fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading fixture {}: {e}", path.display()))
+}
+
+fn run_fixture(name: &str) -> Vec<Diagnostic> {
+    analyze_source(name, &fixture_src(name))
 }
 
 fn lints_of(diags: &[Diagnostic]) -> Vec<&str> {
@@ -181,8 +162,32 @@ fn fixtures_cover_every_lint() {
     }
 }
 
-/// The workspace itself must be clean under the real `analyzer.toml` —
-/// the same check CI runs via `cargo run -p analyzer -- check`.
+/// The entropy and float scopes exempt exactly the files they name: a
+/// fixture analyzed under an allowed or blessed path is clean of that
+/// rule, and under any other production path it trips it.
+#[test]
+fn scopes_exempt_only_the_named_files() {
+    let count = |name: &str, path: &str, lint: &str| {
+        analyze_source(path, &fixture_src(name)).iter().filter(|d| d.lint == lint).count()
+    };
+    for path in [
+        "crates/bench/src/bin/experiments.rs",
+        "crates/serve/src/bin/served.rs",
+        "crates/analyzer/src/main.rs",
+    ] {
+        assert_eq!(count("ambient_entropy.rs", path, "ambient-entropy"), 0, "{path}");
+    }
+    assert!(count("ambient_entropy.rs", "crates/core/src/runner.rs", "ambient-entropy") > 0);
+    for path in ["crates/workflow/src/rank.rs", "crates/workflow/src/rank_engine.rs"] {
+        assert_eq!(count("float_reduction.rs", path, "float-reduction-discipline"), 0, "{path}");
+    }
+    assert!(
+        count("float_reduction.rs", "crates/core/src/aheft.rs", "float-reduction-discipline") > 0
+    );
+}
+
+/// The workspace itself must be clean — the same check CI runs via
+/// `cargo run -p analyzer -- check`.
 #[test]
 fn workspace_is_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..");

@@ -208,8 +208,8 @@ impl ScheduleWorkspace {
 
     /// Build the executable [`Plan`] of the most recent pass (the only
     /// allocating step, deferred until a candidate is actually accepted).
-    pub fn to_plan(&self, clock: f64) -> Plan {
-        Plan::from_assignments(clock, self.assignments.clone())
+    pub fn to_plan(&self) -> Plan {
+        Plan::from_assignments(self.assignments.clone())
     }
 }
 
@@ -234,7 +234,7 @@ pub fn aheft_reschedule(
     let mut ws = ScheduleWorkspace::new();
     let predicted_makespan =
         aheft_schedule_into(dag, costs, snapshot.view(), alive, config, &mut ws);
-    RescheduleOutcome { plan: ws.to_plan(snapshot.clock), predicted_makespan }
+    RescheduleOutcome { plan: ws.to_plan(), predicted_makespan }
 }
 
 /// The allocation-free core: one AHEFT pass over `view` writing the new

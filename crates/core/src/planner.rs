@@ -93,9 +93,9 @@ pub struct AdaptivePlanner {
     current_predicted: f64,
     evaluations: usize,
     accepted: usize,
-    /// `(clock, predicted)` of the most recent scheduling pass, whose
+    /// Predicted makespan of the most recent scheduling pass, whose
     /// assignments still sit in `workspace`.
-    last_candidate: Option<(f64, f64)>,
+    last_candidate: Option<f64>,
     workspace: ScheduleWorkspace,
 }
 
@@ -133,8 +133,8 @@ impl AdaptivePlanner {
             &mut self.workspace,
         );
         self.current_predicted = predicted;
-        self.last_candidate = Some((0.0, predicted));
-        RescheduleOutcome { plan: self.workspace.to_plan(0.0), predicted_makespan: predicted }
+        self.last_candidate = Some(predicted);
+        RescheduleOutcome { plan: self.workspace.to_plan(), predicted_makespan: predicted }
     }
 
     /// Evaluate a reschedule against the current plan (Fig. 2 lines 5–10).
@@ -153,12 +153,12 @@ impl AdaptivePlanner {
         self.evaluations += 1;
         let predicted =
             aheft_schedule_into(dag, costs, view, alive, &self.config, &mut self.workspace);
-        self.last_candidate = Some((view.clock, predicted));
+        self.last_candidate = Some(predicted);
         if predicted < self.current_predicted - 1e-9 {
             self.current_predicted = predicted;
             self.accepted += 1;
             Decision::Replace(RescheduleOutcome {
-                plan: self.workspace.to_plan(view.clock),
+                plan: self.workspace.to_plan(),
                 predicted_makespan: predicted,
             })
         } else {
@@ -176,11 +176,8 @@ impl AdaptivePlanner {
     /// is not an improvement, and future candidates still compare against
     /// the best makespan ever predicted (Fig. 2 line 7).
     pub fn last_candidate_outcome(&self) -> Option<RescheduleOutcome> {
-        let (clock, predicted) = self.last_candidate?;
-        Some(RescheduleOutcome {
-            plan: self.workspace.to_plan(clock),
-            predicted_makespan: predicted,
-        })
+        let predicted = self.last_candidate?;
+        Some(RescheduleOutcome { plan: self.workspace.to_plan(), predicted_makespan: predicted })
     }
 
     /// Predicted makespan of the current plan `S0`.

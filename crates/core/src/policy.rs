@@ -37,7 +37,7 @@ use aheft_gridsim::plan::{Assignment, Plan};
 use aheft_gridsim::reservation::SlotPolicy;
 use aheft_gridsim::trace::TraceEvent;
 use aheft_workflow::rank::{priority_order_from_ranks, rank_upward};
-use aheft_workflow::{CostGenerator, CostTable, Dag, EdgeId, JobId, ResourceId};
+use aheft_workflow::{CostGenerator, CostTable, Dag, JobId, ResourceId};
 
 use crate::aheft::{AheftConfig, ReschedulableSet};
 use crate::minmin::{completion_time, select_batch, DynamicHeuristic};
@@ -230,9 +230,6 @@ pub struct PlannedPolicy {
     queues: PlanQueues,
     pending_forced: bool,
     reschedules: usize,
-    /// Reusable buffers so the per-event hot path allocates nothing.
-    abort_scratch: Vec<JobId>,
-    transfer_scratch: Vec<(JobId, EdgeId, ResourceId, ResourceId)>,
 }
 
 impl PlannedPolicy {
@@ -241,12 +238,10 @@ impl PlannedPolicy {
         Self {
             planner: AdaptivePlanner::new(aheft, trigger),
             variance_threshold: variance,
-            plan: Plan::new(0.0),
+            plan: Plan::default(),
             queues: PlanQueues::new(),
             pending_forced: false,
             reschedules: 0,
-            abort_scratch: Vec::new(),
-            transfer_scratch: Vec::new(),
         }
     }
 
@@ -306,16 +301,13 @@ impl PlannedPolicy {
                 self.planner.last_candidate_outcome().expect("an evaluation just ran")
             }
         };
-        // Abort running jobs that the new plan re-places.
+        // Abort running jobs that the new plan re-places. An abort changes
+        // no other job's state, so aborting in place aborts the same set.
         if self.planner.config.reschedulable == ReschedulableSet::AllUnfinished {
-            self.abort_scratch.clear();
             for j in ctx.dag().job_ids() {
                 if ctx.state().is_running(j) && outcome.plan.assignment(j).is_some() {
-                    self.abort_scratch.push(j);
+                    ctx.abort_job(j);
                 }
-            }
-            for &job in &self.abort_scratch {
-                ctx.abort_job(job);
             }
         }
         ctx.push_trace(TraceEvent::PlanReplaced {
@@ -328,16 +320,12 @@ impl PlannedPolicy {
         self.reschedules += 1;
         // Re-route finished producers' outputs to the new consumer
         // placements.
-        self.transfer_scratch.clear();
         for a in self.plan.assignments() {
             for &(p, e) in ctx.dag().preds(a.job) {
                 if let Some((rp, _)) = ctx.state().finished_on(p) {
-                    self.transfer_scratch.push((p, e, rp, a.resource));
+                    ctx.send_transfer(p, e, rp, a.resource);
                 }
             }
-        }
-        for &(p, e, from, to) in &self.transfer_scratch {
-            ctx.send_transfer(p, e, from, to);
         }
         true
     }
@@ -360,16 +348,12 @@ impl SchedulingPolicy for PlannedPolicy {
             PolicyEvent::JobFinished { job, resource, deviation } => {
                 // §4.1 assumption 2 (planned strategies): push outputs
                 // immediately to where successors are planned.
-                self.transfer_scratch.clear();
                 for &(s, e) in ctx.dag().succs(job) {
                     if !ctx.state().is_finished(s) {
                         if let Some(rs) = self.plan.resource_of(s) {
-                            self.transfer_scratch.push((job, e, resource, rs));
+                            ctx.send_transfer(job, e, resource, rs);
                         }
                     }
-                }
-                for &(p, e, from, to) in &self.transfer_scratch {
-                    ctx.send_transfer(p, e, from, to);
                 }
                 if let Some(threshold) = self.variance_threshold {
                     if deviation > threshold {
@@ -522,8 +506,6 @@ pub struct JitPolicy {
     ready: Vec<JobId>,
     /// All jobs in non-increasing upward-rank order ([`JitOrder::RankUpward`]).
     rank_order: Vec<JobId>,
-    /// Transfer scratch (producer, edge, producer's resource).
-    transfer_scratch: Vec<(JobId, EdgeId, ResourceId)>,
 }
 
 impl JitPolicy {
@@ -536,7 +518,6 @@ impl JitPolicy {
             avail: Vec::new(),
             ready: Vec::new(),
             rank_order: Vec::new(),
-            transfer_scratch: Vec::new(),
         }
     }
 
@@ -557,14 +538,10 @@ impl JitPolicy {
     fn map_job(&mut self, ctx: &mut ExecCtx<'_, '_>, job: JobId, r: ResourceId) {
         self.assigned[job.idx()] = Some(r);
         self.fifo[r.idx()].push(job);
-        self.transfer_scratch.clear();
         for &(p, e) in ctx.dag().preds(job) {
             if let Some((rp, _)) = ctx.state().finished_on(p) {
-                self.transfer_scratch.push((p, e, rp));
+                ctx.send_transfer(p, e, rp, r);
             }
-        }
-        for &(p, e, rp) in &self.transfer_scratch {
-            ctx.send_transfer(p, e, rp, r);
         }
     }
 }

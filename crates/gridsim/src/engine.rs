@@ -91,14 +91,6 @@ impl EventQueue {
         self.processed
     }
 
-    /// Number of pending (non-cancelled) events. Saturating: a stale
-    /// cancellation (contract violation, see [`EventQueue::cancel`]) must
-    /// not turn this into an underflow panic far from the culprit.
-    #[inline]
-    pub fn pending(&self) -> usize {
-        self.heap.len().saturating_sub(self.cancelled.len())
-    }
-
     /// Schedule `event` at absolute time `at`. Returns a token that can
     /// cancel this (and only this) event instance.
     ///
@@ -203,7 +195,6 @@ mod tests {
         let tok = q.schedule(SimTime::new(1.0), Event::JobFinished { job: JobId(0) });
         q.schedule(SimTime::new(2.0), Event::JobFinished { job: JobId(1) });
         q.cancel(tok);
-        assert_eq!(q.pending(), 1);
         let (t, e) = q.pop().unwrap();
         assert_eq!(t, SimTime::new(2.0));
         assert_eq!(e, Event::JobFinished { job: JobId(1) });
@@ -221,7 +212,6 @@ mod tests {
         let stale = q.schedule(SimTime::new(9.0), Event::JobFinished { job: JobId(0) });
         q.cancel(stale);
         q.schedule(SimTime::new(5.0), Event::JobFinished { job: JobId(0) });
-        assert_eq!(q.pending(), 1);
         let (t, e) = q.pop().unwrap();
         assert_eq!(t, SimTime::new(5.0));
         assert_eq!(e, Event::JobFinished { job: JobId(0) });

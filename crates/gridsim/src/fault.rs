@@ -54,12 +54,6 @@ fn sample_exp<R: Rng + ?Sized>(mean: f64, rng: &mut R) -> f64 {
 }
 
 impl FailureModel {
-    /// Sample the failure time of a resource born at time zero
-    /// (`None` = never fails).
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<f64> {
-        self.sample_from(0.0, rng)
-    }
-
     /// Sample the failure time of a resource that (re)joins the pool at
     /// `birth`, injecting the failure over the resource's *own* lifetime
     /// (`None` = never fails). Draw counts depend only on the model, never
@@ -153,7 +147,7 @@ mod tests {
     fn none_never_fails() {
         let mut rng = StdRng::seed_from_u64(0);
         for _ in 0..100 {
-            assert_eq!(FailureModel::None.sample(&mut rng), None);
+            assert_eq!(FailureModel::None.sample_from(0.0, &mut rng), None);
         }
         assert_eq!(FailureModel::None.sample_downtime(&mut rng), None);
     }
@@ -163,11 +157,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let m = FailureModel::UniformOnce { prob: 1.0, horizon: 50.0 };
         for _ in 0..100 {
-            let t = m.sample(&mut rng).expect("prob 1 always fails");
+            let t = m.sample_from(0.0, &mut rng).expect("prob 1 always fails");
             assert!((0.0..50.0).contains(&t));
         }
         let never = FailureModel::UniformOnce { prob: 0.0, horizon: 50.0 };
-        assert_eq!(never.sample(&mut rng), None);
+        assert_eq!(never.sample_from(0.0, &mut rng), None);
     }
 
     #[test]

@@ -33,25 +33,18 @@ pub struct Plan {
     by_job: Vec<u32>,
     /// The makespan predicted at planning time (absolute simulation time).
     predicted_makespan: f64,
-    /// Clock at which this plan was produced (0 for initial schedules).
-    planned_at: f64,
 }
 
 impl Plan {
-    /// Empty plan (used before the first schedule is produced).
-    pub fn new(planned_at: f64) -> Self {
-        Self { planned_at, ..Self::default() }
-    }
-
     /// Build from a list of assignments.
-    pub fn from_assignments(planned_at: f64, assignments: Vec<Assignment>) -> Self {
+    pub fn from_assignments(assignments: Vec<Assignment>) -> Self {
         let jobs = assignments.iter().map(|a| a.job.idx() + 1).max().unwrap_or(0);
         let mut by_job = vec![UNASSIGNED; jobs];
         for (i, a) in assignments.iter().enumerate() {
             by_job[a.job.idx()] = i as u32;
         }
         let predicted_makespan = assignments.iter().map(|a| a.finish).fold(0.0, f64::max);
-        Self { assignments, by_job, predicted_makespan, planned_at }
+        Self { assignments, by_job, predicted_makespan }
     }
 
     /// All assignments, in the order the scheduler placed them
@@ -86,11 +79,6 @@ impl Plan {
     /// Predicted makespan (max scheduled finish; paper Eq. 4).
     pub fn predicted_makespan(&self) -> f64 {
         self.predicted_makespan
-    }
-
-    /// Clock value when the plan was made.
-    pub fn planned_at(&self) -> f64 {
-        self.planned_at
     }
 
     /// Per-resource execution queues: assignments grouped by resource in
@@ -173,13 +161,10 @@ mod tests {
 
     #[test]
     fn from_assignments_indexes_jobs() {
-        let p = Plan::from_assignments(
-            0.0,
-            vec![
-                Assignment { job: JobId(0), resource: ResourceId(0), start: 0.0, finish: 10.0 },
-                Assignment { job: JobId(1), resource: ResourceId(1), start: 15.0, finish: 24.0 },
-            ],
-        );
+        let p = Plan::from_assignments(vec![
+            Assignment { job: JobId(0), resource: ResourceId(0), start: 0.0, finish: 10.0 },
+            Assignment { job: JobId(1), resource: ResourceId(1), start: 15.0, finish: 24.0 },
+        ]);
         assert_eq!(p.resource_of(JobId(1)), Some(ResourceId(1)));
         assert_eq!(p.assignment(JobId(0)).map(|a| a.finish), Some(10.0));
         assert_eq!(p.predicted_makespan(), 24.0);
@@ -189,65 +174,50 @@ mod tests {
     #[test]
     fn validate_accepts_comm_respecting_plan() {
         let (dag, costs) = two_job_dag();
-        let p = Plan::from_assignments(
-            0.0,
-            vec![
-                Assignment { job: JobId(0), resource: ResourceId(0), start: 0.0, finish: 10.0 },
-                Assignment { job: JobId(1), resource: ResourceId(1), start: 15.0, finish: 24.0 },
-            ],
-        );
+        let p = Plan::from_assignments(vec![
+            Assignment { job: JobId(0), resource: ResourceId(0), start: 0.0, finish: 10.0 },
+            Assignment { job: JobId(1), resource: ResourceId(1), start: 15.0, finish: 24.0 },
+        ]);
         assert!(p.validate(&dag, &costs).is_empty());
     }
 
     #[test]
     fn validate_flags_early_start() {
         let (dag, costs) = two_job_dag();
-        let p = Plan::from_assignments(
-            0.0,
-            vec![
-                Assignment { job: JobId(0), resource: ResourceId(0), start: 0.0, finish: 10.0 },
-                // starts at 12 < 10 + 5 cross-resource arrival
-                Assignment { job: JobId(1), resource: ResourceId(1), start: 12.0, finish: 21.0 },
-            ],
-        );
+        let p = Plan::from_assignments(vec![
+            Assignment { job: JobId(0), resource: ResourceId(0), start: 0.0, finish: 10.0 },
+            // starts at 12 < 10 + 5 cross-resource arrival
+            Assignment { job: JobId(1), resource: ResourceId(1), start: 12.0, finish: 21.0 },
+        ]);
         assert_eq!(p.validate(&dag, &costs).len(), 1);
     }
 
     #[test]
     fn validate_flags_overlap() {
         let (dag, costs) = two_job_dag();
-        let p = Plan::from_assignments(
-            0.0,
-            vec![
-                Assignment { job: JobId(0), resource: ResourceId(0), start: 0.0, finish: 10.0 },
-                Assignment { job: JobId(1), resource: ResourceId(0), start: 5.0, finish: 13.0 },
-            ],
-        );
+        let p = Plan::from_assignments(vec![
+            Assignment { job: JobId(0), resource: ResourceId(0), start: 0.0, finish: 10.0 },
+            Assignment { job: JobId(1), resource: ResourceId(0), start: 5.0, finish: 13.0 },
+        ]);
         assert!(!p.validate(&dag, &costs).is_empty());
     }
 
     #[test]
     fn colocated_jobs_need_no_comm_delay() {
         let (dag, costs) = two_job_dag();
-        let p = Plan::from_assignments(
-            0.0,
-            vec![
-                Assignment { job: JobId(0), resource: ResourceId(0), start: 0.0, finish: 10.0 },
-                Assignment { job: JobId(1), resource: ResourceId(0), start: 10.0, finish: 18.0 },
-            ],
-        );
+        let p = Plan::from_assignments(vec![
+            Assignment { job: JobId(0), resource: ResourceId(0), start: 0.0, finish: 10.0 },
+            Assignment { job: JobId(1), resource: ResourceId(0), start: 10.0, finish: 18.0 },
+        ]);
         assert!(p.validate(&dag, &costs).is_empty());
     }
 
     #[test]
     fn resource_queues_sorted_by_start() {
-        let p = Plan::from_assignments(
-            0.0,
-            vec![
-                Assignment { job: JobId(1), resource: ResourceId(0), start: 9.0, finish: 12.0 },
-                Assignment { job: JobId(0), resource: ResourceId(0), start: 0.0, finish: 9.0 },
-            ],
-        );
+        let p = Plan::from_assignments(vec![
+            Assignment { job: JobId(1), resource: ResourceId(0), start: 9.0, finish: 12.0 },
+            Assignment { job: JobId(0), resource: ResourceId(0), start: 0.0, finish: 9.0 },
+        ]);
         let q = p.resource_queues(1);
         assert_eq!(q[0][0].job, JobId(0));
         assert_eq!(q[0][1].job, JobId(1));

@@ -45,11 +45,6 @@ impl SharedPool {
         }
     }
 
-    /// Total resources in the pool.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Resources not currently leased.
     pub fn free(&self) -> usize {
         self.free
@@ -129,7 +124,7 @@ mod tests {
     #[test]
     fn lease_and_release_track_free_capacity() {
         let mut p = SharedPool::new(4, 2);
-        assert_eq!((p.capacity(), p.free(), p.leased()), (4, 4, 0));
+        assert_eq!((p.free(), p.leased()), (4, 0), "a new pool is fully free");
         assert!(p.lease(0.0, 0, 3));
         assert!(!p.lease(1.0, 1, 2), "only one resource is free");
         assert!(p.lease(1.0, 1, 1));

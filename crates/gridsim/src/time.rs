@@ -8,7 +8,7 @@
 
 use std::cmp::Ordering;
 use std::fmt;
-use std::ops::{Add, Sub};
+use std::ops::Add;
 
 /// A finite, non-negative point in simulated time.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -33,22 +33,6 @@ impl SimTime {
     #[inline]
     pub fn value(self) -> f64 {
         self.0
-    }
-
-    /// Saturating subtraction: `max(self - rhs, 0)`.
-    #[inline]
-    pub fn saturating_sub(self, rhs: SimTime) -> SimTime {
-        SimTime((self.0 - rhs.0).max(0.0))
-    }
-
-    /// The later of two times.
-    #[inline]
-    pub fn max(self, other: SimTime) -> SimTime {
-        if self >= other {
-            self
-        } else {
-            other
-        }
     }
 }
 
@@ -76,21 +60,6 @@ impl Add for SimTime {
     }
 }
 
-impl Sub for SimTime {
-    type Output = SimTime;
-    #[inline]
-    fn sub(self, rhs: SimTime) -> SimTime {
-        SimTime::new(self.0 - rhs.0)
-    }
-}
-
-impl From<f64> for SimTime {
-    #[inline]
-    fn from(t: f64) -> Self {
-        SimTime::new(t)
-    }
-}
-
 impl fmt::Display for SimTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:.3}", self.0)
@@ -111,8 +80,6 @@ mod tests {
     fn arithmetic() {
         let t = SimTime::new(5.0) + SimTime::new(2.5);
         assert_eq!(t.value(), 7.5);
-        assert_eq!((t - SimTime::new(2.5)).value(), 5.0);
-        assert_eq!(SimTime::new(1.0).saturating_sub(SimTime::new(9.0)), SimTime::ZERO);
     }
 
     #[test]

@@ -44,7 +44,6 @@ pub use aheft_parcomp::MAX_THREADS;
 #[derive(Debug)]
 pub struct QueryEngine {
     store: ScenarioStore,
-    run_cfg: RunConfig,
     threads: usize,
     workers: Vec<Mutex<ScheduleWorkspace>>,
     cache: Mutex<ResponseCache>,
@@ -147,7 +146,6 @@ impl QueryEngine {
         let workers = (0..threads).map(|_| Mutex::new(ScheduleWorkspace::new())).collect();
         Self {
             store: ScenarioStore::new(scenario),
-            run_cfg: RunConfig::default(),
             threads,
             workers,
             cache: Mutex::new(ResponseCache::default()),
@@ -158,11 +156,6 @@ impl QueryEngine {
     /// The underlying store (tests drive deltas through it directly).
     pub fn store(&self) -> &ScenarioStore {
         &self.store
-    }
-
-    /// Worker count this engine fans cache misses over.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Process one request line, appending the response line to `out`.
@@ -292,7 +285,7 @@ impl QueryEngine {
             Op::Place { policy, job } if job.idx() < scen.dag.job_count() => policy,
             _ => return,
         };
-        let Some(config) = planning_config(policy, &self.run_cfg) else {
+        let Some(config) = planning_config(policy, &RunConfig::default()) else {
             return;
         };
         if plans.iter().any(|(c, _)| *c == config) {
@@ -350,7 +343,7 @@ impl QueryEngine {
                 t
             }
             Op::WhatIf { policy, add, remove } => {
-                let Some(config) = planning_config(policy, &self.run_cfg) else {
+                let Some(config) = planning_config(policy, &RunConfig::default()) else {
                     return no_plan_tail(policy);
                 };
                 let query = WhatIfQuery::Modify { add: add.clone(), remove: remove.clone() };
@@ -381,7 +374,7 @@ impl QueryEngine {
                 }
             }
             Op::Place { policy, job } => {
-                let Some(config) = planning_config(policy, &self.run_cfg) else {
+                let Some(config) = planning_config(policy, &RunConfig::default()) else {
                     return no_plan_tail(policy);
                 };
                 if job.idx() >= scen.dag.job_count() {
@@ -408,7 +401,7 @@ impl QueryEngine {
                 }
             }
             Op::Replan { policy } => {
-                let Some(config) = planning_config(policy, &self.run_cfg) else {
+                let Some(config) = planning_config(policy, &RunConfig::default()) else {
                     return no_plan_tail(policy);
                 };
                 let plan = baseline(plans, &config);

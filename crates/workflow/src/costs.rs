@@ -390,12 +390,6 @@ impl CostGenerator {
         self.omega[job.idx()]
     }
 
-    /// Heterogeneity factor `β`.
-    #[inline]
-    pub fn beta(&self) -> f64 {
-        self.beta
-    }
-
     /// Number of jobs covered.
     #[inline]
     pub fn job_count(&self) -> usize {

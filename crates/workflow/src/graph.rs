@@ -123,12 +123,6 @@ impl Dag {
         &self.jobs[id.idx()]
     }
 
-    /// The edge record for `id`.
-    #[inline]
-    pub fn edge(&self, id: EdgeId) -> &Edge {
-        &self.edges[id.idx()]
-    }
-
     /// All edges.
     #[inline]
     pub fn edges(&self) -> &[Edge] {

@@ -21,16 +21,13 @@ pub(crate) fn kahn_order(
     let mut order = Vec::with_capacity(v);
     while let Some(j) = ready.pop() {
         order.push(j);
-        let mut newly = Vec::new();
         for &(s, _) in &succs[j.idx()] {
             indeg[s.idx()] -= 1;
             if indeg[s.idx()] == 0 {
-                newly.push(s);
+                ready.push(s);
             }
         }
-        newly.sort_unstable_by(|a, b| b.cmp(a));
         // Keep `ready` sorted descending so pop() remains the smallest id.
-        ready.extend(newly);
         ready.sort_unstable_by(|a, b| b.cmp(a));
     }
     (order.len() == v).then_some(order)

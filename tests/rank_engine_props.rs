@@ -89,7 +89,6 @@ proptest! {
                 }
             }
 
-            let epoch_before = engine.epoch();
             engine.update(&wf.dag, &costs, &alive, |j| finished[j.idx()]);
             rank_upward_over_into(&wf.dag, &costs, &alive, &mut oracle);
             for j in wf.dag.job_ids() {
@@ -115,7 +114,6 @@ proptest! {
             let epoch = engine.epoch();
             engine.update(&wf.dag, &costs, &alive, |j| finished[j.idx()]);
             prop_assert_eq!(engine.epoch(), epoch, "cache hit must not bump the epoch");
-            let _ = epoch_before;
         }
     }
 
